@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
       auto truth = gts.index()->KnnQueryBatch(queries, kDefaultK);
       for (const double fraction : {0.02, 0.05, 0.1, 0.25, 0.5, 1.0}) {
         gts.ResetClocks();
-        auto res = gts.index()->KnnQueryBatchApprox(queries, kDefaultK,
-                                                    fraction);
+        auto res = gts.index()->KnnQueryBatch(
+            queries, kDefaultK, nullptr,
+            KnnOptions{.candidate_fraction = fraction});
         if (!res.ok() || !truth.ok()) continue;
         std::printf("  %-10.2f %14s %10.3f\n", fraction,
                     bench::FormatThroughput(bench::ThroughputPerMin(

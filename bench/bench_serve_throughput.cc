@@ -736,7 +736,7 @@ void RunShardedCount(const bench::BenchEnv& env, uint32_t num_shards,
   dev_options.memory_bytes = env.device->memory_bytes();
   std::vector<std::unique_ptr<gpu::Device>> devices;
   std::vector<std::unique_ptr<GtsIndex>> owned;
-  std::vector<GtsIndex*> shards;
+  std::vector<std::vector<GtsIndex*>> shards;  // one replica per shard
   for (uint32_t s = 0; s < num_shards; ++s) {
     std::vector<uint32_t> ids;
     for (uint32_t g = s; g < env.data.size(); g += num_shards) {
@@ -751,7 +751,7 @@ void RunShardedCount(const bench::BenchEnv& env, uint32_t num_shards,
       return;
     }
     owned.push_back(std::move(built).value());
-    shards.push_back(owned.back().get());
+    shards.push_back({owned.back().get()});
   }
 
   serve::FrontendOptions frontend_options;

@@ -338,25 +338,10 @@ Result<RangeResults> GtsIndex::ReadSnapshot::RangeQueryBatch(
 }
 
 Result<KnnResults> GtsIndex::ReadSnapshot::KnnQueryBatch(
-    const Dataset& queries, uint32_t k, GtsQueryStats* stats_out) const {
-  return index_->KnnQueryBatchOn(*version_, queries, k,
-                                 /*candidate_fraction=*/1.0, {}, stats_out,
+    const Dataset& queries, uint32_t k, GtsQueryStats* stats_out,
+    const KnnOptions& options) const {
+  return index_->KnnQueryBatchOn(*version_, queries, k, options, stats_out,
                                  anchor_ns_);
-}
-
-Result<KnnResults> GtsIndex::ReadSnapshot::KnnQueryBatchBounded(
-    const Dataset& queries, uint32_t k, std::span<const float> initial_bounds,
-    GtsQueryStats* stats_out) const {
-  return index_->KnnQueryBatchOn(*version_, queries, k,
-                                 /*candidate_fraction=*/1.0, initial_bounds,
-                                 stats_out, anchor_ns_);
-}
-
-Result<KnnResults> GtsIndex::ReadSnapshot::KnnQueryBatchApprox(
-    const Dataset& queries, uint32_t k, double candidate_fraction,
-    GtsQueryStats* stats_out) const {
-  return index_->KnnQueryBatchOn(*version_, queries, k, candidate_fraction,
-                                 {}, stats_out, anchor_ns_);
 }
 
 // --- Update strategies -----------------------------------------------------

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -94,6 +93,31 @@ struct GtsQueryStats {
   }
 };
 
+/// Per-call options of GtsIndex::KnnQueryBatch. The defaults are the
+/// exact query.
+struct KnnOptions {
+  /// Approximate MkNNQ (the paper's §7 future-work direction): leaf
+  /// verification examines only the best `candidate_fraction` of each
+  /// query's surviving candidates (ascending annulus-gap order, never
+  /// fewer than 2k), trading recall for throughput. Must be in (0, 1];
+  /// 1.0 is the exact query.
+  double candidate_fraction = 1.0;
+  /// Per-query initial pruning bounds: empty (no bounds) or one
+  /// non-negative value per query, a caller-proven upper bound on that
+  /// query's k-th nearest distance (+inf = none). The descent prunes
+  /// against min(bound, running k-th) instead of the running k-th alone,
+  /// so a tight bound cuts subtrees and leaf candidates the cold-started
+  /// search would still expand. The result contract weakens only beyond
+  /// the bound: every true top-k member with distance <= the bound is
+  /// present, in canonical (dist, id) order; entries with distance > the
+  /// bound may be missing or replaced (by the caller's premise they cannot
+  /// matter). With +inf bounds the result is byte-identical to the
+  /// unbounded query — all ring/gap comparisons are strict, so candidates
+  /// AT the bound always survive. This is the shared cross-shard bound of
+  /// the sharded frontend's refined scatter (serve/sharded_frontend.h).
+  std::span<const float> initial_bounds = {};
+};
+
 /// A ball covering every alive object of one published version: d(pivot,
 /// x) <= radius for all alive x. The pivot is a dataset-resident object id
 /// (the tree's root pivot when there is one), NOT necessarily alive — the
@@ -150,40 +174,16 @@ class GtsIndex {
                                        std::span<const float> radii,
                                        GtsQueryStats* stats_out = nullptr) const;
 
-  /// Batched metric k-nearest-neighbour query (Algorithm 5). Exact. Each
-  /// per-query result is ascending by (dist, id) — distance ties break
-  /// toward the smaller object id. The canonical order is part of the
-  /// result contract: it makes per-shard top-k lists of a partitioned
-  /// corpus merge back byte-identically (serve::ShardedFrontend).
+  /// Batched metric k-nearest-neighbour query (Algorithm 5). Exact under
+  /// the default `options`. Each per-query result is ascending by (dist,
+  /// id) — distance ties break toward the smaller object id. The canonical
+  /// order is part of the result contract: it makes per-shard top-k lists
+  /// of a partitioned corpus merge back byte-identically
+  /// (serve::ShardedFrontend). KnnOptions selects the approximate mode and
+  /// the per-query initial bounds; invalid options are kInvalidArgument.
   Result<KnnResults> KnnQueryBatch(const Dataset& queries, uint32_t k,
-                                   GtsQueryStats* stats_out = nullptr) const;
-
-  /// KnnQueryBatch with per-query initial pruning bounds: `initial_bounds`
-  /// is empty (no bounds) or holds one non-negative value per query, a
-  /// caller-proven upper bound on that query's k-th nearest distance
-  /// (+inf = none). The descent prunes against min(bound, running k-th)
-  /// instead of the running k-th alone, so a tight bound cuts subtrees and
-  /// leaf candidates the cold-started search would still expand. The
-  /// result contract weakens only beyond the bound: every true top-k
-  /// member with distance <= the bound is present, in canonical (dist, id)
-  /// order; entries with distance > the bound may be missing or replaced
-  /// (by the caller's premise they cannot matter). With +inf bounds the
-  /// result is byte-identical to KnnQueryBatch — all ring/gap comparisons
-  /// are strict, so candidates AT the bound always survive. This is the
-  /// shared cross-shard bound of the sharded frontend's refined scatter
-  /// (serve/sharded_frontend.h).
-  Result<KnnResults> KnnQueryBatchBounded(
-      const Dataset& queries, uint32_t k, std::span<const float> initial_bounds,
-      GtsQueryStats* stats_out = nullptr) const;
-
-  /// Approximate MkNNQ (the paper's §7 future-work direction): leaf
-  /// verification examines only the best `candidate_fraction` of each
-  /// query's surviving candidates (ascending annulus-gap order, never fewer
-  /// than 2k), trading recall for throughput. candidate_fraction = 1.0
-  /// degenerates to the exact query.
-  Result<KnnResults> KnnQueryBatchApprox(const Dataset& queries, uint32_t k,
-                                         double candidate_fraction,
-                                         GtsQueryStats* stats_out = nullptr) const;
+                                   GtsQueryStats* stats_out = nullptr,
+                                   const KnnOptions& options = {}) const;
 
   /// Single-query conveniences over the same per-call context path: query
   /// object `idx` of `queries`, one result vector. Results are identical to
@@ -223,19 +223,11 @@ class GtsIndex {
     Result<RangeResults> RangeQueryBatch(
         const Dataset& queries, std::span<const float> radii,
         GtsQueryStats* stats_out = nullptr) const;
-    /// Batched exact kNN query through the pinned version.
+    /// Batched kNN query through the pinned version (GtsIndex::
+    /// KnnQueryBatch, same options).
     Result<KnnResults> KnnQueryBatch(const Dataset& queries, uint32_t k,
-                                     GtsQueryStats* stats_out = nullptr) const;
-    /// Bounded kNN through the pinned version (GtsIndex::
-    /// KnnQueryBatchBounded).
-    Result<KnnResults> KnnQueryBatchBounded(
-        const Dataset& queries, uint32_t k,
-        std::span<const float> initial_bounds,
-        GtsQueryStats* stats_out = nullptr) const;
-    /// Batched approximate kNN query through the pinned version.
-    Result<KnnResults> KnnQueryBatchApprox(
-        const Dataset& queries, uint32_t k, double candidate_fraction,
-        GtsQueryStats* stats_out = nullptr) const;
+                                     GtsQueryStats* stats_out = nullptr,
+                                     const KnnOptions& options = {}) const;
 
     // Introspection through the pinned version. Unlike the index's live
     // accessors (which report the current version at each call), these
@@ -301,14 +293,6 @@ class GtsIndex {
   /// not even while a rebuild is in flight (the rebuild runs beside the
   /// published version and swaps in afterwards).
   ReadSnapshot SnapshotForRead() const { return ReadSnapshot(this); }
-
-  /// Historical non-blocking variant of SnapshotForRead from the
-  /// shared-mutex era. Reads are now lock-free, so this always returns an
-  /// engaged optional; it is kept so monitoring paths written against the
-  /// old contract (serve::SessionRouter::stats()) compile unchanged.
-  std::optional<ReadSnapshot> TrySnapshotForRead() const {
-    return SnapshotForRead();
-  }
 
   // --- Updates (serialized writers) -------------------------------------
   // Update calls serialize on the writer-only mutex, never on readers.
@@ -536,7 +520,7 @@ class GtsIndex {
     std::vector<Neighbor> topk;  // ascending by (dist, id), size <= k
     uint32_t k = 0;
     /// Caller-proven upper bound on the k-th nearest distance (+inf =
-    /// none; see KnnQueryBatchBounded). Tightens Bound() only — Offer()
+    /// none; see KnnOptions::initial_bounds). Tightens Bound() only — Offer()
     /// never consults it, so the top-k list itself stays exact for every
     /// candidate the capped descent reaches.
     float cap = std::numeric_limits<float>::infinity();
@@ -583,12 +567,9 @@ class GtsIndex {
                         RangeResults* out, QueryContext* ctx) const;
 
   // search_knn.cc -------------------------------------------------------
-  /// See RangeQueryBatchOn; candidate_fraction = 1.0 is the exact query,
-  /// `initial_bounds` the per-query pruning caps of KnnQueryBatchBounded
-  /// (empty = none).
+  /// See RangeQueryBatchOn; `options` as in KnnQueryBatch.
   Result<KnnResults> KnnQueryBatchOn(const Version& v, const Dataset& queries,
-                                     uint32_t k, double candidate_fraction,
-                                     std::span<const float> initial_bounds,
+                                     uint32_t k, const KnnOptions& options,
                                      GtsQueryStats* stats_out,
                                      double anchor_ns = -1.0) const;
   Result<KnnResults> KnnQueryBatchImpl(const Dataset& queries, uint32_t k,

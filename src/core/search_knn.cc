@@ -50,49 +50,35 @@ void GtsIndex::KnnState::Offer(uint32_t id, float dist) {
   if (topk.size() > k) topk.pop_back();
 }
 
-Result<KnnResults> GtsIndex::KnnQueryBatchApprox(const Dataset& queries,
-                                                 uint32_t k,
-                                                 double candidate_fraction,
-                                                 GtsQueryStats* stats_out) const {
-  epoch::Guard guard(&epoch_);  // pin BEFORE the version load
-  return KnnQueryBatchOn(Current(), queries, k, candidate_fraction, {},
-                         stats_out);
-}
-
 Result<KnnResults> GtsIndex::KnnQueryBatch(const Dataset& queries, uint32_t k,
-                                           GtsQueryStats* stats_out) const {
+                                           GtsQueryStats* stats_out,
+                                           const KnnOptions& options) const {
   epoch::Guard guard(&epoch_);  // pin BEFORE the version load
-  return KnnQueryBatchOn(Current(), queries, k, /*candidate_fraction=*/1.0,
-                         {}, stats_out);
-}
-
-Result<KnnResults> GtsIndex::KnnQueryBatchBounded(
-    const Dataset& queries, uint32_t k, std::span<const float> initial_bounds,
-    GtsQueryStats* stats_out) const {
-  epoch::Guard guard(&epoch_);  // pin BEFORE the version load
-  return KnnQueryBatchOn(Current(), queries, k, /*candidate_fraction=*/1.0,
-                         initial_bounds, stats_out);
+  return KnnQueryBatchOn(Current(), queries, k, options, stats_out);
 }
 
 Result<KnnResults> GtsIndex::KnnQueryBatchOn(
     const Version& v, const Dataset& queries, uint32_t k,
-    double candidate_fraction, std::span<const float> initial_bounds,
-    GtsQueryStats* stats_out, double anchor_ns) const {
-  if (candidate_fraction <= 0.0 || candidate_fraction > 1.0) {
+    const KnnOptions& options, GtsQueryStats* stats_out,
+    double anchor_ns) const {
+  // Negated ranges reject NaN, which every ordered comparison fails.
+  if (!(options.candidate_fraction > 0.0 &&
+        options.candidate_fraction <= 1.0)) {
     return Status::InvalidArgument("candidate_fraction must be in (0, 1]");
   }
-  if (!initial_bounds.empty() && initial_bounds.size() != queries.size()) {
+  if (!options.initial_bounds.empty() &&
+      options.initial_bounds.size() != queries.size()) {
     return Status::InvalidArgument("one initial bound per query required");
   }
-  for (const float b : initial_bounds) {
+  for (const float b : options.initial_bounds) {
     if (!(b >= 0.0f)) {  // rejects negatives and NaN
       return Status::InvalidArgument("initial bounds must be non-negative");
     }
   }
   QueryContext ctx(*device_, v);
   if (anchor_ns >= 0.0) ctx.start_ns = anchor_ns;
-  ctx.candidate_fraction = candidate_fraction;
-  auto result = KnnQueryBatchImpl(queries, k, initial_bounds, &ctx);
+  ctx.candidate_fraction = options.candidate_fraction;
+  auto result = KnnQueryBatchImpl(queries, k, options.initial_bounds, &ctx);
   AccumulateStats(ctx, stats_out);
   return result;
 }

@@ -73,6 +73,11 @@ Result<RangeResults> GtsIndex::RangeQueryBatchOn(
   if (queries.size() != radii.size()) {
     return Status::InvalidArgument("one radius per query required");
   }
+  for (const float r : radii) {
+    if (!(r >= 0.0f)) {  // rejects negatives and NaN
+      return Status::InvalidArgument("radii must be non-negative");
+    }
+  }
   if (!queries.CompatibleWith(*v.data)) {
     return Status::InvalidArgument("query objects incompatible with dataset");
   }

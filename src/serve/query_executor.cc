@@ -166,21 +166,20 @@ Result<RangeResults> QueryExecutor::RangeQueryBatch(
 
 Result<KnnResults> QueryExecutor::KnnQueryBatch(const Dataset& queries,
                                                 uint32_t k,
-                                                GtsQueryStats* stats_out) {
-  return KnnQueryBatchApprox(queries, k, /*candidate_fraction=*/1.0,
-                             stats_out);
-}
-
-Result<KnnResults> QueryExecutor::KnnQueryBatchApprox(
-    const Dataset& queries, uint32_t k, double candidate_fraction,
-    GtsQueryStats* stats_out) {
+                                                GtsQueryStats* stats_out,
+                                                const KnnOptions& options) {
   // See RangeQueryBatch for why the prechecks are repeated here; the
-  // fraction check additionally guards the exact/approx branch below.
+  // bounds length must likewise be proven before the per-shard subspan.
   if (index_ == nullptr) {
     return Status::InvalidArgument("pool-only executor has no index");
   }
-  if (candidate_fraction <= 0.0 || candidate_fraction > 1.0) {
+  if (!(options.candidate_fraction > 0.0 &&
+        options.candidate_fraction <= 1.0)) {
     return Status::InvalidArgument("candidate_fraction must be in (0, 1]");
+  }
+  if (!options.initial_bounds.empty() &&
+      options.initial_bounds.size() != queries.size()) {
+    return Status::InvalidArgument("one initial bound per query required");
   }
   if (!index_->CompatibleData(queries)) {
     return Status::InvalidArgument("query objects incompatible with dataset");
@@ -193,11 +192,13 @@ Result<KnnResults> QueryExecutor::KnnQueryBatchApprox(
         std::vector<uint32_t> ids(end - begin);
         std::iota(ids.begin(), ids.end(), begin);
         const Dataset shard = queries.Slice(ids);
-        auto res = candidate_fraction < 1.0
-                       ? index_->KnnQueryBatchApprox(shard, k,
-                                                     candidate_fraction,
-                                                     &shard_stats[si])
-                       : index_->KnnQueryBatch(shard, k, &shard_stats[si]);
+        KnnOptions shard_options = options;
+        if (!options.initial_bounds.empty()) {
+          shard_options.initial_bounds =
+              options.initial_bounds.subspan(begin, end - begin);
+        }
+        auto res =
+            index_->KnnQueryBatch(shard, k, &shard_stats[si], shard_options);
         if (!res.ok()) return res.status();
         for (uint32_t q = begin; q < end; ++q) {
           out[q] = std::move(res.value()[q - begin]);

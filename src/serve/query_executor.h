@@ -63,14 +63,11 @@ class QueryExecutor {
                                        GtsQueryStats* stats_out = nullptr);
 
   /// Sharded batched kNN query; results in input order, identical to
-  /// GtsIndex::KnnQueryBatch.
+  /// GtsIndex::KnnQueryBatch with the same `options` (per-query initial
+  /// bounds are split along with the queries).
   Result<KnnResults> KnnQueryBatch(const Dataset& queries, uint32_t k,
-                                   GtsQueryStats* stats_out = nullptr);
-
-  /// Sharded approximate kNN (GtsIndex::KnnQueryBatchApprox).
-  Result<KnnResults> KnnQueryBatchApprox(const Dataset& queries, uint32_t k,
-                                         double candidate_fraction,
-                                         GtsQueryStats* stats_out = nullptr);
+                                   GtsQueryStats* stats_out = nullptr,
+                                   const KnnOptions& options = {});
 
   /// Enqueues one heterogeneous work item on the pool and returns
   /// immediately. Work items share the FIFO queue with batch shards — the

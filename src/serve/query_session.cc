@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <map>
 #include <span>
 #include <thread>
@@ -80,38 +79,24 @@ bool QuerySession::AdmitRead() {
   return !stop_;
 }
 
-bool QuerySession::TranslateRead(RequestPayload* payload, PendingRead* out) {
+QuerySession::PendingRead QuerySession::TranslateRead(RequestPayload* payload) {
+  PendingRead out;
   if (auto* range = std::get_if<RangePayload>(payload)) {
-    out->kind = PendingRead::Kind::kRange;
-    out->query = std::move(range->query);
-    out->radius = range->radius;
-    return true;
+    out.kind = PendingRead::Kind::kRange;
+    out.query = std::move(range->query);
+    out.radius = range->radius;
+  } else if (auto* knn = std::get_if<KnnPayload>(payload)) {
+    out.kind = PendingRead::Kind::kKnn;
+    out.query = std::move(knn->query);
+    out.k = knn->k;
+    out.bound_cap = knn->bound_cap;
+  } else if (auto* approx = std::get_if<KnnApproxPayload>(payload)) {
+    out.kind = PendingRead::Kind::kKnn;
+    out.query = std::move(approx->query);
+    out.k = approx->k;
+    out.candidate_fraction = approx->candidate_fraction;
   }
-  if (auto* knn = std::get_if<KnnPayload>(payload)) {
-    out->kind = PendingRead::Kind::kKnn;
-    out->query = std::move(knn->query);
-    out->k = knn->k;
-    out->bound_cap = knn->bound_cap;
-    return true;
-  }
-  if (auto* approx = std::get_if<KnnApproxPayload>(payload)) {
-    out->kind = PendingRead::Kind::kKnn;
-    out->query = std::move(approx->query);
-    out->k = approx->k;
-    out->candidate_fraction = approx->candidate_fraction;
-    return true;
-  }
-  return false;
-}
-
-bool QuerySession::ValidRead(const PendingRead& read) const {
-  // The payload is already a private copy; the index's kind/dim are
-  // immutable, so this needs no lock. An out-of-range factory index
-  // arrives here as an empty query dataset. `!(cap >= 0)` rejects NaN.
-  return read.query.size() == 1 && index_->CompatibleData(read.query) &&
-         (read.kind != PendingRead::Kind::kKnn ||
-          (read.candidate_fraction > 0.0 && read.candidate_fraction <= 1.0 &&
-           read.bound_cap >= 0.0f));
+  return out;
 }
 
 Response QuerySession::ReadError(const PendingRead& read,
@@ -140,18 +125,67 @@ void QuerySession::EnqueueRead(PendingRead read, uint64_t deadline_micros,
 }
 
 std::future<Response> QuerySession::Submit(Request request) {
+  if (!request.is_read()) return SubmitWrite(std::move(request));
+  std::vector<Request> one;
+  one.push_back(std::move(request));
+  return std::move(SubmitBatch(std::move(one))[0]);
+}
+
+std::vector<std::future<Response>> QuerySession::SubmitBatch(
+    std::vector<Request> requests) {
   const auto submitted_at = Clock::now();
-  // Translate the typed payload into the internal work-item forms. The
-  // translation is pure (no lock): concurrent submitters only serialize
-  // on the queue push inside SubmitRead/SubmitWrite.
-  PendingRead read;
-  if (TranslateRead(&request.payload, &read)) {
-    return SubmitRead(std::move(read), request.deadline_micros, submitted_at);
+  std::vector<std::future<Response>> futures(requests.size());
+
+  // Validate + translate off-lock (ValidRead reads only the index's
+  // immutable kind/dim); rejections and updates resolve per request. The
+  // admissible reads then enter the queue in one pass.
+  std::vector<std::pair<PendingRead, uint64_t>> admit;  // (read, deadline)
+  admit.reserve(requests.size());
+  size_t invalid = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Request& request = requests[i];
+    if (!request.is_read()) {
+      futures[i] = SubmitWrite(std::move(request));
+      continue;
+    }
+    if (!ValidRead(request, *index_)) {
+      futures[i] = ResolvedFuture(ErrorResponse(
+          request,
+          Status::InvalidArgument("query object invalid for this index")));
+      ++invalid;
+      continue;
+    }
+    PendingRead read = TranslateRead(&request.payload);
+    futures[i] = read.promise.get_future();
+    admit.emplace_back(std::move(read), request.deadline_micros);
   }
-  return std::visit(
-      [&](auto&& payload) -> std::future<Response> {
+
+  bool enqueued_any = false;
+  {
+    MutexLock lock(&mu_);
+    stats_.rejected += invalid;
+    for (auto& [read, deadline_micros] : admit) {
+      if (!AdmitRead()) {
+        ++stats_.rejected;
+        read.promise.set_value(ReadError(
+            read, Status::ResourceExhausted("session read queue full")));
+        continue;
+      }
+      EnqueueRead(std::move(read), deadline_micros, submitted_at);
+      enqueued_any = true;
+    }
+  }
+  // ONE dispatcher wake for the whole group — the amortization this entry
+  // point exists for.
+  if (enqueued_any) cv_dispatch_.SignalAll();
+  return futures;
+}
+
+std::future<Response> QuerySession::SubmitWrite(Request request) {
+  PendingWrite write;
+  std::visit(
+      [&](auto&& payload) {
         using P = std::decay_t<decltype(payload)>;
-        PendingWrite write;
         if constexpr (std::is_same_v<P, InsertPayload>) {
           write.kind = PendingWrite::Kind::kInsert;
           write.payload = std::move(payload.object);
@@ -165,98 +199,13 @@ std::future<Response> QuerySession::Submit(Request request) {
         } else if constexpr (std::is_same_v<P, RebuildPayload>) {
           write.kind = PendingWrite::Kind::kRebuild;
         } else {
-          // Reads were handled by TranslateRead above.
+          // Reads take the SubmitBatch path.
           static_assert(std::is_same_v<P, RangePayload> ||
                         std::is_same_v<P, KnnPayload> ||
                         std::is_same_v<P, KnnApproxPayload>);
         }
-        return SubmitWrite(std::move(write), request.deadline_micros);
       },
       std::move(request.payload));
-}
-
-std::vector<std::future<Response>> QuerySession::SubmitBatch(
-    std::vector<Request> requests) {
-  const auto submitted_at = Clock::now();
-  std::vector<std::future<Response>> futures(requests.size());
-
-  // Translate + validate off-lock; rejections and write fallbacks resolve
-  // per request. The admissible reads then enter the queue in one pass.
-  struct Slot {
-    PendingRead read;
-    uint64_t deadline_micros = 0;
-    size_t index = 0;
-  };
-  std::vector<Slot> admit;
-  admit.reserve(requests.size());
-  size_t invalid = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    PendingRead read;
-    if (!TranslateRead(&requests[i].payload, &read)) {
-      futures[i] = Submit(std::move(requests[i]));
-      continue;
-    }
-    futures[i] = read.promise.get_future();
-    if (!ValidRead(read)) {
-      read.promise.set_value(ReadError(
-          read,
-          Status::InvalidArgument("query object invalid for this index")));
-      ++invalid;
-      continue;
-    }
-    admit.push_back(Slot{std::move(read), requests[i].deadline_micros, i});
-  }
-
-  bool enqueued_any = false;
-  {
-    MutexLock lock(&mu_);
-    stats_.rejected += invalid;
-    for (Slot& slot : admit) {
-      if (!AdmitRead()) {
-        ++stats_.rejected;
-        slot.read.promise.set_value(ReadError(
-            slot.read,
-            Status::ResourceExhausted("session read queue full")));
-        continue;
-      }
-      EnqueueRead(std::move(slot.read), slot.deadline_micros, submitted_at);
-      enqueued_any = true;
-    }
-  }
-  // ONE dispatcher wake for the whole group — the amortization this entry
-  // point exists for.
-  if (enqueued_any) cv_dispatch_.SignalAll();
-  return futures;
-}
-
-std::future<Response> QuerySession::SubmitRead(
-    PendingRead read, uint64_t deadline_micros,
-    Clock::time_point submitted_at) {
-  auto future = read.promise.get_future();
-
-  if (!ValidRead(read)) {
-    const Status invalid =
-        Status::InvalidArgument("query object invalid for this index");
-    MutexLock lock(&mu_);
-    ++stats_.rejected;
-    read.promise.set_value(ReadError(read, invalid));
-    return future;
-  }
-
-  MutexLock lock(&mu_);
-  if (!AdmitRead()) {
-    ++stats_.rejected;
-    read.promise.set_value(ReadError(
-        read, Status::ResourceExhausted("session read queue full")));
-    return future;
-  }
-  EnqueueRead(std::move(read), deadline_micros, submitted_at);
-  cv_dispatch_.SignalAll();
-  return future;
-}
-
-std::future<Response> QuerySession::SubmitWrite(PendingWrite write,
-                                                uint64_t deadline_micros) {
   auto future = write.promise.get_future();
 
   if (write.kind == PendingWrite::Kind::kInsert &&
@@ -277,7 +226,7 @@ std::future<Response> QuerySession::SubmitWrite(PendingWrite write,
   // Updates are applied in submission order regardless of deadline, but
   // the envelope's target is recorded so a fan-out layer (the sharded
   // frontend's BatchUpdate/Rebuild scatter) can be audited end to end.
-  if (deadline_micros > 0) ++stats_.writer_deadline_carried;
+  if (request.deadline_micros > 0) ++stats_.writer_deadline_carried;
   writes_.push_back(std::move(write));
   cv_dispatch_.SignalAll();
   return future;
@@ -513,47 +462,32 @@ void QuerySession::RunFlush(std::vector<PendingRead>* batch) {
       for (uint32_t i = task.begin + 1; i < task.end; ++i) {
         queries.AppendFrom((*batch)[(*task.items)[i]].query, 0);
       }
+      // Resolves the task's items from the batched call's per-query
+      // results, in the alternative of the result type.
+      const auto resolve = [&](auto res) {
+        using Batch = std::decay_t<decltype(res.value())>;
+        using One = Result<typename Batch::value_type>;
+        for (uint32_t i = task.begin; i < task.end; ++i) {
+          (*batch)[(*task.items)[i]].promise.set_value(
+              res.ok() ? Response{One(std::move(res.value()[i - task.begin]))}
+                       : Response{One(res.status())});
+        }
+      };
+      // Per-query radius (range) or kNN cap: the sharded frontend's refined
+      // scatter sets caps, and bound-capped reads ride the same coalesced
+      // call — grouping stays keyed on (k, fraction) only (+inf = no cap).
+      std::vector<float> params(task.end - task.begin);
+      for (uint32_t i = task.begin; i < task.end; ++i) {
+        const PendingRead& item = (*batch)[(*task.items)[i]];
+        params[i - task.begin] = task.is_range ? item.radius : item.bound_cap;
+      }
       if (task.is_range) {
-        std::vector<float> radii(task.end - task.begin);
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          radii[i - task.begin] = (*batch)[(*task.items)[i]].radius;
-        }
-        auto res = snapshot.RangeQueryBatch(queries, radii);
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          PendingRead& item = (*batch)[(*task.items)[i]];
-          if (res.ok()) {
-            item.promise.set_value(Response{
-                RangeResult(std::move(res.value()[i - task.begin]))});
-          } else {
-            item.promise.set_value(Response{RangeResult(res.status())});
-          }
-        }
+        resolve(snapshot.RangeQueryBatch(queries, params));
       } else {
-        // Bound-capped reads (the sharded frontend's refined scatter) ride
-        // the same coalesced call: grouping stays keyed on (k, fraction)
-        // only, each query carries its own cap into the batch.
-        std::vector<float> caps(task.end - task.begin);
-        bool any_cap = false;
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          const float cap = (*batch)[(*task.items)[i]].bound_cap;
-          caps[i - task.begin] = cap;
-          any_cap |= cap < std::numeric_limits<float>::infinity();
-        }
-        auto res = task.fraction < 1.0
-                       ? snapshot.KnnQueryBatchApprox(queries, task.k,
-                                                      task.fraction)
-                   : any_cap
-                       ? snapshot.KnnQueryBatchBounded(queries, task.k, caps)
-                       : snapshot.KnnQueryBatch(queries, task.k);
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          PendingRead& item = (*batch)[(*task.items)[i]];
-          if (res.ok()) {
-            item.promise.set_value(
-                Response{KnnResult(std::move(res.value()[i - task.begin]))});
-          } else {
-            item.promise.set_value(Response{KnnResult(res.status())});
-          }
-        }
+        resolve(snapshot.KnnQueryBatch(
+            queries, task.k, nullptr,
+            KnnOptions{.candidate_fraction = task.fraction,
+                       .initial_bounds = params}));
       }
       const auto done = Clock::now();
       for (uint32_t i = task.begin; i < task.end; ++i) {

@@ -163,9 +163,11 @@ class QuerySession {
   // --- The unified entry point ------------------------------------------
   // One method serves all seven operations (serve/request.h). Reads
   // (Range/Knn/KnnApprox) are admission-controlled and dynamically
-  // batched; an invalid payload (empty/multi-object query, incompatible
-  // kind/dim, bad candidate fraction) resolves immediately with
-  // kInvalidArgument and queue overflow per the admission policy.
+  // batched; a read failing serve::ValidRead (empty/multi-object query,
+  // incompatible kind/dim, negative or NaN radius/bound, bad candidate
+  // fraction) resolves immediately with kInvalidArgument and queue
+  // overflow per the admission policy. A single read takes exactly the
+  // SubmitBatch path.
   // `request.deadline_micros` (0 = none) asks for resolution within that
   // many microseconds of submission: under FlushOrder::kEdf urgent reads
   // jump the queue, and a read resolved late counts in
@@ -191,45 +193,6 @@ class QuerySession {
   /// futures[i] corresponds to requests[i].
   std::vector<std::future<Response>> SubmitBatch(
       std::vector<Request> requests) EXCLUDES(mu_);
-
-  // --- Legacy typed entry points ----------------------------------------
-  // One-line compat wrappers over Submit(Request): they build the Request
-  // and unwrap the Response alternative (deferred — see ExpectResult).
-  // New callers should construct Requests directly.
-
-  std::future<Result<std::vector<uint32_t>>> SubmitRange(
-      const Dataset& src, uint32_t idx, float radius,
-      uint64_t deadline_micros = 0) {
-    return ExpectResult<RangeResult>(
-        Submit(Request::Range(src, idx, radius, deadline_micros)));
-  }
-  std::future<Result<std::vector<Neighbor>>> SubmitKnn(
-      const Dataset& src, uint32_t idx, uint32_t k,
-      uint64_t deadline_micros = 0) {
-    return ExpectResult<KnnResult>(
-        Submit(Request::Knn(src, idx, k, deadline_micros)));
-  }
-  std::future<Result<std::vector<Neighbor>>> SubmitKnnApprox(
-      const Dataset& src, uint32_t idx, uint32_t k, double candidate_fraction,
-      uint64_t deadline_micros = 0) {
-    return ExpectResult<KnnResult>(Submit(Request::KnnApprox(
-        src, idx, k, candidate_fraction, deadline_micros)));
-  }
-  std::future<Result<uint32_t>> SubmitInsert(const Dataset& src,
-                                             uint32_t idx) {
-    return ExpectResult<InsertResult>(Submit(Request::Insert(src, idx)));
-  }
-  std::future<Status> SubmitRemove(uint32_t id) {
-    return ExpectResult<UpdateResult>(Submit(Request::Remove(id)));
-  }
-  std::future<Status> SubmitBatchUpdate(const Dataset& inserts,
-                                        std::vector<uint32_t> removals) {
-    return ExpectResult<UpdateResult>(
-        Submit(Request::BatchUpdate(inserts, std::move(removals))));
-  }
-  std::future<Status> SubmitRebuild() {
-    return ExpectResult<UpdateResult>(Submit(Request::Rebuild()));
-  }
 
   /// Nudges the batcher: everything queued right now flushes without
   /// waiting for max_batch / max_wait_micros.
@@ -278,27 +241,16 @@ class QuerySession {
     std::promise<Response> promise;
   };
 
-  /// Read-path body of Submit: validates the single-object query,
-  /// admission-checks, enqueues. `submitted_at` anchors the deadline and
-  /// the latency sample at *submission*: under AdmissionPolicy::kBlock
-  /// the admission wait is part of what the caller experiences, so it
-  /// counts.
-  std::future<Response> SubmitRead(PendingRead read, uint64_t deadline_micros,
-                                   Clock::time_point submitted_at)
-      EXCLUDES(mu_);
-  /// Update-path body of Submit: enqueues for the dispatcher (never
-  /// rejected while running). `deadline_micros` is telemetry only
-  /// (SessionStats::writer_deadline_carried) — writes-first ordering
-  /// already runs every queued update ahead of the next flush.
-  std::future<Response> SubmitWrite(PendingWrite write,
-                                    uint64_t deadline_micros) EXCLUDES(mu_);
+  /// Update path of Submit: translates the update payload and enqueues it
+  /// for the dispatcher (never rejected while running). The deadline is
+  /// telemetry only (SessionStats::writer_deadline_carried) —
+  /// writes-first ordering already runs every queued update ahead of the
+  /// next flush.
+  std::future<Response> SubmitWrite(Request request) EXCLUDES(mu_);
 
-  /// Translates a read payload into the internal work item; false (and
-  /// `out` untouched) for update payloads. Moves out of `payload`.
-  static bool TranslateRead(RequestPayload* payload, PendingRead* out);
-  /// Validates a translated read against this session's index (single
-  /// object, compatible kind/dim, parameter ranges).
-  bool ValidRead(const PendingRead& read) const;
+  /// Translates a read payload into the internal work item, moving out of
+  /// `payload`; the caller has checked Request::is_read().
+  static PendingRead TranslateRead(RequestPayload* payload);
   /// Rejection response in the read's own alternative.
   static Response ReadError(const PendingRead& read, const Status& status);
 
@@ -307,9 +259,11 @@ class QuerySession {
   /// stopping). Wakes the dispatcher before a kBlock wait so a backlog
   /// enqueued in the same (batched) call drains.
   bool AdmitRead() REQUIRES(mu_);
-  /// Queue insertion shared by SubmitRead and SubmitBatch: stamps the
-  /// seq / deadline bookkeeping and pushes. The caller wakes the
-  /// dispatcher.
+  /// Queue insertion of SubmitBatch: stamps the seq / deadline
+  /// bookkeeping and pushes. `submitted_at` anchors the deadline and the
+  /// latency sample at *submission*: under AdmissionPolicy::kBlock the
+  /// admission wait is part of what the caller experiences, so it counts.
+  /// The caller wakes the dispatcher.
   void EnqueueRead(PendingRead read, uint64_t deadline_micros,
                    Clock::time_point submitted_at) REQUIRES(mu_);
 

@@ -14,17 +14,13 @@
 // as scaling features (shard routing, weighted scheduling, replication)
 // land on top.
 //
-// The per-type `Submit{Range,Knn,...}` methods on QuerySession and
-// SessionRouter remain as one-line compat wrappers: they build a Request,
-// call the unified entry point, and adapt the future with ExpectResult<T>
-// (a deferred future that unwraps the expected Response alternative — the
-// promise chain is still driven by the session dispatcher, the adapter
-// only extracts). New callers should construct Requests directly.
+// Every front end rejects an invalid read before admission through the
+// one predicate below (ValidRead), so a read means the same thing at every
+// layer.
 //
 // Payload construction copies the query/insert object out of the caller's
 // dataset (Request::Range etc. slice object `idx` of `src`), so the
-// source dataset may be destroyed as soon as the Request is built — the
-// same ownership rule the legacy entry points had.
+// source dataset may be destroyed as soon as the Request is built.
 #ifndef GTS_SERVE_REQUEST_H_
 #define GTS_SERVE_REQUEST_H_
 
@@ -48,7 +44,7 @@ namespace gts::serve {
 /// Metric range query: all objects within `radius` of the query object.
 struct RangePayload {
   Dataset query = Dataset::Strings();  ///< exactly one object
-  float radius = 0.0f;
+  float radius = 0.0f;  ///< must be non-negative (NaN rejects)
 };
 
 /// Exact k-nearest-neighbour query.
@@ -56,7 +52,7 @@ struct KnnPayload {
   Dataset query = Dataset::Strings();  ///< exactly one object
   uint32_t k = 0;
   /// Caller-proven upper bound on the k-th nearest distance (+inf =
-  /// none). Plumbed into GtsIndex::KnnQueryBatchBounded so the search
+  /// none). Plumbed into KnnOptions::initial_bounds so the search
   /// prunes against min(bound_cap, running k-th); results beyond the
   /// bound may be dropped — by the caller's premise they cannot matter.
   /// The sharded frontend's refined scatter sets this on the sub-requests
@@ -65,11 +61,11 @@ struct KnnPayload {
   float bound_cap = std::numeric_limits<float>::infinity();
 };
 
-/// Approximate kNN (GtsIndex::KnnQueryBatchApprox's candidate budget).
+/// Approximate kNN (KnnOptions::candidate_fraction's candidate budget).
 struct KnnApproxPayload {
   Dataset query = Dataset::Strings();  ///< exactly one object
   uint32_t k = 0;
-  double candidate_fraction = 1.0;
+  double candidate_fraction = 1.0;  ///< must be in (0, 1]
 };
 
 /// Streaming insert of one object.
@@ -253,6 +249,28 @@ inline Response ErrorResponse(const Request& request, Status status) {
       request.payload);
 }
 
+/// The read-validation predicate of every front end: true when `request`
+/// is a read whose payload carries exactly one query object compatible
+/// with `index`, a non-negative radius or bound_cap, and a candidate
+/// fraction in (0, 1]. The comparisons are phrased so that NaN fails
+/// them. False for updates. Reads only the index's immutable kind/dim, so
+/// it needs no lock or snapshot.
+inline bool ValidRead(const Request& request, const GtsIndex& index) {
+  const auto* range = std::get_if<RangePayload>(&request.payload);
+  const auto* knn = std::get_if<KnnPayload>(&request.payload);
+  const auto* approx = std::get_if<KnnApproxPayload>(&request.payload);
+  const Dataset* query = nullptr;
+  if (range != nullptr) query = &range->query;
+  if (knn != nullptr) query = &knn->query;
+  if (approx != nullptr) query = &approx->query;
+  return query != nullptr && query->size() == 1 &&
+         index.CompatibleData(*query) &&
+         (range == nullptr || range->radius >= 0.0f) &&
+         (knn == nullptr || knn->bound_cap >= 0.0f) &&
+         (approx == nullptr || (approx->candidate_fraction > 0.0 &&
+                                approx->candidate_fraction <= 1.0));
+}
+
 /// A future already resolved with `value` — the immediate-reject path of
 /// every front end.
 template <typename T>
@@ -260,26 +278,6 @@ std::future<T> ResolvedFuture(T value) {
   std::promise<T> promise;
   promise.set_value(std::move(value));
   return promise.get_future();
-}
-
-/// Adapts the unified future to a legacy typed future: a *deferred*
-/// future whose get()/wait() extracts the expected Response alternative.
-/// Deferred on purpose — the underlying promise is resolved by the
-/// serving plane regardless of whether the adapter is ever consumed; the
-/// wrapper adds no thread and no polling.
-///
-/// Semantics caveat: a deferred future reports std::future_status::
-/// deferred from wait_for/wait_until and never transitions to ready, so
-/// readiness-polling (timeout loops) does not work through the adapted
-/// wrappers — get()/wait() block correctly. Callers that poll should
-/// hold the Submit(Request) future itself, which is promise-backed and
-/// becomes ready when the plane resolves it.
-template <typename T>
-std::future<T> ExpectResult(std::future<Response> f) {
-  return std::async(std::launch::deferred, [f = std::move(f)]() mutable {
-    Response response = f.get();
-    return std::get<T>(std::move(response.result));
-  });
 }
 
 }  // namespace gts::serve

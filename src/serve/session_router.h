@@ -125,51 +125,6 @@ class SessionRouter {
 
   std::future<Response> Submit(Request request);
 
-  // --- Legacy typed entry points ----------------------------------------
-  // One-line compat wrappers over Submit(Request); new callers should
-  // construct Requests directly.
-
-  std::future<Result<std::vector<uint32_t>>> SubmitRange(
-      uint32_t tenant, const Dataset& src, uint32_t idx, float radius,
-      uint64_t deadline_micros = 0) {
-    return ExpectResult<RangeResult>(Submit(
-        Request::Range(src, idx, radius, deadline_micros).ForTenant(tenant)));
-  }
-  std::future<Result<std::vector<Neighbor>>> SubmitKnn(
-      uint32_t tenant, const Dataset& src, uint32_t idx, uint32_t k,
-      uint64_t deadline_micros = 0) {
-    return ExpectResult<KnnResult>(Submit(
-        Request::Knn(src, idx, k, deadline_micros).ForTenant(tenant)));
-  }
-  std::future<Result<std::vector<Neighbor>>> SubmitKnnApprox(
-      uint32_t tenant, const Dataset& src, uint32_t idx, uint32_t k,
-      double candidate_fraction, uint64_t deadline_micros = 0) {
-    return ExpectResult<KnnResult>(
-        Submit(Request::KnnApprox(src, idx, k, candidate_fraction,
-                                  deadline_micros)
-                   .ForTenant(tenant)));
-  }
-  std::future<Result<uint32_t>> SubmitInsert(uint32_t tenant,
-                                             const Dataset& src,
-                                             uint32_t idx) {
-    return ExpectResult<InsertResult>(
-        Submit(Request::Insert(src, idx).ForTenant(tenant)));
-  }
-  std::future<Status> SubmitRemove(uint32_t tenant, uint32_t id) {
-    return ExpectResult<UpdateResult>(
-        Submit(Request::Remove(id).ForTenant(tenant)));
-  }
-  std::future<Status> SubmitBatchUpdate(uint32_t tenant,
-                                        const Dataset& inserts,
-                                        std::vector<uint32_t> removals) {
-    return ExpectResult<UpdateResult>(Submit(
-        Request::BatchUpdate(inserts, std::move(removals)).ForTenant(tenant)));
-  }
-  std::future<Status> SubmitRebuild(uint32_t tenant) {
-    return ExpectResult<UpdateResult>(
-        Submit(Request::Rebuild().ForTenant(tenant)));
-  }
-
   /// Nudges every tenant's batcher (QuerySession::Flush).
   void Flush();
   /// Blocks until every submission made before the call has completed,

@@ -30,43 +30,17 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// MergeShards limit of a range read: every hit is kept.
+constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
+
 /// Floor for a failover attempt's deadline slice: below this the retry
 /// budget math would spin through replicas faster than a flush can serve.
 constexpr int64_t kMinAttemptSliceMicros = 50;
 
-/// The canonical kNN result order (the one GtsIndex::KnnQueryBatch
-/// maintains internally): ascending (dist, id).
-void SortNeighbors(std::vector<Neighbor>* v) {
-  std::sort(v->begin(), v->end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.dist != b.dist) return a.dist < b.dist;
-    return a.id < b.id;
-  });
-}
-
-/// The legacy unreplicated layout as a one-replica-per-shard layout.
-std::vector<std::vector<GtsIndex*>> WrapReplicas(
-    std::vector<GtsIndex*> shards) {
-  std::vector<std::vector<GtsIndex*>> wrapped;
-  wrapped.reserve(shards.size());
-  for (GtsIndex* index : shards) {
-    wrapped.push_back(std::vector<GtsIndex*>{index});
-  }
-  return wrapped;
-}
-
-/// Total read attempts per sub-query (the first included): the option, or
-/// one attempt per replica when it is left 0.
-uint32_t AttemptBudget(const FrontendOptions& options, size_t rf) {
-  const uint32_t budget = options.max_read_attempts == 0
-                              ? static_cast<uint32_t>(rf)
-                              : options.max_read_attempts;
-  return budget == 0 ? 1 : budget;
-}
-
 /// An error response in the SAME alternative `like` holds — the
-/// last-attempt injected-drop path has a successful response in hand but
-/// must report the read lost, and the alternative has to keep matching
-/// the request's payload family (request.h's ErrorResponse contract).
+/// injected-drop paths have a successful response in hand but must report
+/// it lost, and the alternative has to keep matching the request's
+/// payload family (request.h's ErrorResponse contract).
 Response SameAlternativeError(const Response& like, Status status) {
   return std::visit(
       [&](const auto& r) -> Response {
@@ -76,48 +50,64 @@ Response SameAlternativeError(const Response& like, Status status) {
       like.result);
 }
 
-/// The verdict over one shard's per-replica write-ack statuses. Partial
-/// acks and unavailable replicas surface as kUnavailable NAMING the
-/// failed replica set (never a silent success); a unanimous identical
-/// rejection (every replica refused with the same non-unavailable code,
-/// e.g. an invalid payload) passes through unchanged — the rejection IS
-/// the answer, and at one replica this reduces to the legacy
-/// pass-through. `*partial` reports the some-but-not-all case for the
-/// partial_write_acks counter.
-Status AckVerdict(uint32_t shard, uint32_t rf,
-                  const std::vector<Status>& statuses,
-                  const std::vector<uint32_t>& failed, bool* partial) {
-  *partial = false;
-  if (failed.empty()) return Status::Ok();
-  if (failed.size() == rf) {
-    const StatusCode code = statuses[failed[0]].code();
-    bool uniform = code != StatusCode::kUnavailable;
-    for (const uint32_t r : failed) {
-      uniform &= statuses[r].code() == code;
+/// One queried shard's answer to a scatter read, in shard-local ids.
+using ShardAnswer = std::pair<uint32_t, Response>;
+
+/// The id an answer entry carries: a range hit, or a kNN neighbor's.
+uint32_t& IdOf(uint32_t& id) { return id; }
+uint32_t& IdOf(Neighbor& nb) { return nb.id; }
+
+/// The canonical result order: ascending id for range (search_range.cc
+/// sorts each per-query result), ascending (dist, id) for kNN (the order
+/// GtsIndex::KnnQueryBatch maintains internally).
+bool CanonicalLess(uint32_t a, uint32_t b) { return a < b; }
+bool CanonicalLess(const Neighbor& a, const Neighbor& b) {
+  if (a.dist != b.dist) return a.dist < b.dist;
+  return a.id < b.id;
+}
+
+/// The one gather merge of every scatter read (T = uint32_t for range,
+/// Neighbor for kNN): remaps each shard's answer to global ids, sorts the
+/// union in the canonical order and keeps the first `limit` entries.
+/// Selection by a total order commutes with partitioning, so on a
+/// round-robin partition the merge is byte-identical to a single index
+/// over the whole corpus. Pruned shards contribute nothing by
+/// construction (their balls cannot intersect the query ball), and capped
+/// kNN shards only dropped neighbors strictly beyond the bound, which the
+/// truncation would discard anyway. The first failing answer (in order) or
+/// overflowing global id fails the read.
+template <typename T>
+Response MergeShards(std::vector<ShardAnswer> answers, uint32_t num_shards,
+                     size_t limit) {
+  using Part = Result<std::vector<T>>;
+  std::vector<T> merged;
+  for (auto& [shard, answer] : answers) {
+    Part& part = std::get<Part>(answer.result);
+    if (!part.ok()) return Response{Part(part.status())};
+    for (T entry : part.value()) {
+      auto gid = ShardedFrontend::ComposeGlobalId(IdOf(entry), shard,
+                                                  num_shards);
+      if (!gid.ok()) return Response{Part(gid.status())};
+      IdOf(entry) = gid.value();
+      merged.push_back(entry);
     }
-    if (uniform) return statuses[failed[0]];
-  } else {
-    *partial = true;
   }
-  std::string msg = "shard " + std::to_string(shard) +
-                    " write ack failed on replica set {";
-  for (size_t i = 0; i < failed.size(); ++i) {
-    if (i > 0) msg += ",";
-    msg += std::to_string(failed[i]);
-  }
-  msg += "}: " + statuses[failed[0]].message();
-  return Status::Unavailable(std::move(msg));
+  std::sort(merged.begin(), merged.end(),
+            [](const T& a, const T& b) { return CanonicalLess(a, b); });
+  if (merged.size() > limit) merged.resize(limit);
+  return Response{Part(std::move(merged))};
 }
 
 }  // namespace
 
 // Shared gather state of one SubmitBatch call's exact-kNN reads. Phase 1
-// (the seed sub-queries) is submitted by SubmitBatch; phase 2 is driven
-// by the FIRST gather that runs — under the mutex it collects every
-// item's seed result (with failover), derives the per-item bound, prunes
-// the deferred shards the bound disqualifies, and fans the survivors out
-// as ONE batched submission per shard for the whole group. Later gathers
-// (and the rest of the first one) only touch their own item.
+// (the seed sub-queries) is submitted by SubmitBatch; phase 2 is run by
+// the phase-2 driver or the first gather, whichever gets there first —
+// under the mutex it collects every item's seed result (with failover),
+// derives the per-item bound, prunes the deferred shards the bound
+// disqualifies, and fans the survivors out as ONE batched submission per
+// shard for the whole group. Later gathers (and the rest of the first
+// one) only touch their own item.
 struct ShardedFrontend::KnnScatter {
   struct Item {
     Dataset query = Dataset::Strings();  ///< one-object copy for phase 2
@@ -203,42 +193,16 @@ struct ShardedFrontend::KnnScatter {
     }
     // After RunPhase2, each gather touches only its own item.
     Item& item = items[idx];
-    std::vector<Neighbor> merged;
-    Status first_bad = Status::Ok();
-    const uint32_t n = frontend->num_shards();
-    const auto absorb = [&](uint32_t shard, KnnResult res) {
-      if (!res.ok()) {
-        if (first_bad.ok()) first_bad = res.status();
-        return;
-      }
-      for (const Neighbor& nb : res.value()) {
-        auto gid = ComposeGlobalId(nb.id, shard, n);
-        if (!gid.ok()) {
-          if (first_bad.ok()) first_bad = gid.status();
-          return;
-        }
-        merged.push_back(Neighbor{gid.value(), nb.dist});
-      }
-    };
-    absorb(item.seed.shard, std::move(item.seed_result));
+    std::vector<ShardAnswer> answers;
+    answers.emplace_back(item.seed.shard,
+                         Response{std::move(item.seed_result)});
     for (SubRead& sub : item.phase2) {
-      absorb(sub.shard, std::move(frontend->AwaitRead(&sub).knn()));
+      answers.emplace_back(sub.shard, frontend->AwaitRead(&sub));
     }
-    if (!first_bad.ok()) return Response{KnnResult(first_bad)};
-    // Selection by a total order commutes with partitioning: re-sorting
-    // the union of per-shard top-k's under the canonical order and
-    // truncating reproduces the single-index answer exactly. Capped
-    // shards only ever dropped neighbors strictly beyond the bound, which
-    // the truncation would discard anyway.
-    SortNeighbors(&merged);
-    if (merged.size() > item.k) merged.resize(item.k);
-    return Response{KnnResult(std::move(merged))};
+    return MergeShards<Neighbor>(std::move(answers), frontend->num_shards(),
+                                 item.k);
   }
 };
-
-ShardedFrontend::ShardedFrontend(std::vector<GtsIndex*> shards,
-                                 FrontendOptions options)
-    : ShardedFrontend(WrapReplicas(std::move(shards)), std::move(options)) {}
 
 ShardedFrontend::ShardedFrontend(std::vector<std::vector<GtsIndex*>> shards,
                                  FrontendOptions options)
@@ -250,8 +214,7 @@ ShardedFrontend::ShardedFrontend(std::vector<std::vector<GtsIndex*>> shards,
       nullptr, ExecutorOptions{options_.executor_threads, 0});
   // A malformed layout (no shards, a shard with no replicas, ragged
   // replica counts, a null index) yields a frontend with no shards —
-  // every submission then errors, the same way the empty legacy layout
-  // always has.
+  // every submission then errors.
   bool valid = !shards.empty();
   const size_t rf = valid ? shards[0].size() : 0;
   valid &= rf > 0;
@@ -408,10 +371,9 @@ std::vector<ShardedFrontend::SubRead> ShardedFrontend::SubmitShardWave(
     uint32_t shard, std::vector<Request> requests) {
   ReplicaGroup& group = *groups_[shard];
   const uint32_t replica = PickReplica(shard);
-  // Failover needs the requests back verbatim; with an attempt budget of
-  // 1 (notably the whole unreplicated configuration) nothing can ever be
-  // resubmitted, so the copies are skipped.
-  const bool keep = AttemptBudget(options_, group.replicas.size()) > 1;
+  // Failover needs the requests back verbatim; an unreplicated shard has
+  // nowhere to fail over to, so the copies are skipped.
+  const bool keep = group.replicas.size() > 1;
   std::vector<Request> copies;
   if (keep) copies = requests;
   auto futures = group.replicas[replica]->SubmitBatch(std::move(requests));
@@ -427,7 +389,8 @@ std::vector<ShardedFrontend::SubRead> ShardedFrontend::SubmitShardWave(
 
 Response ShardedFrontend::AwaitRead(SubRead* sub) {
   ReplicaGroup& group = *groups_[sub->shard];
-  const uint32_t budget = AttemptBudget(options_, group.replicas.size());
+  // One attempt per replica of the shard.
+  const auto budget = static_cast<uint32_t>(group.replicas.size());
   const auto start = std::chrono::steady_clock::now();
   bool first_retry = true;
   for (uint32_t attempt = 1;; ++attempt) {
@@ -512,27 +475,46 @@ std::vector<std::future<Response>> ShardedFrontend::FanWrite(
 }
 
 Status ShardedFrontend::GatherAcks(uint32_t shard,
-                                   std::vector<std::future<Response>>* acks) {
+                                   std::vector<std::future<Response>>* acks,
+                                   std::vector<Response>* replies) {
+  std::vector<Response> own;
+  if (replies == nullptr) replies = &own;
   fault::Registry& faults = fault::Registry::Instance();
-  const uint32_t rf = static_cast<uint32_t>(acks->size());
-  std::vector<Status> statuses;
-  statuses.reserve(rf);
+  const auto rf = static_cast<uint32_t>(acks->size());
   std::vector<uint32_t> failed;
   for (uint32_t r = 0; r < rf; ++r) {
-    Status status = (*acks)[r].get().update();
+    Response reply = (*acks)[r].get();
     // Injection site: the replica APPLIED the write, its ack was lost —
     // replica content stays identical, only the acknowledgement degrades.
     // (This is why the site lives at the gather, after the apply.)
-    if (status.ok() && faults.Trip("shard.write-ack", r)) {
-      status = Status::Unavailable("injected fault: shard.write-ack");
+    if (reply.ok() && faults.Trip("shard.write-ack", r)) {
+      reply = SameAlternativeError(
+          reply, Status::Unavailable("injected fault: shard.write-ack"));
     }
-    if (!status.ok()) failed.push_back(r);
-    statuses.push_back(std::move(status));
+    if (!reply.ok()) failed.push_back(r);
+    replies->push_back(std::move(reply));
   }
-  bool partial = false;
-  Status verdict = AckVerdict(shard, rf, statuses, failed, &partial);
-  if (partial) partial_write_acks_.fetch_add(1, std::memory_order_relaxed);
-  return verdict;
+  if (failed.empty()) return Status::Ok();
+  const Status first = (*replies)[failed[0]].status();
+  if (failed.size() == rf) {
+    // Unanimous identical rejection: at one replica this is the plain
+    // pass-through of the session's answer.
+    bool uniform = first.code() != StatusCode::kUnavailable;
+    for (const uint32_t r : failed) {
+      uniform &= (*replies)[r].status().code() == first.code();
+    }
+    if (uniform) return first;
+  } else {
+    partial_write_acks_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::string msg = "shard " + std::to_string(shard) +
+                    " write ack failed on replica set {";
+  for (size_t i = 0; i < failed.size(); ++i) {
+    if (i > 0) msg += ",";
+    msg += std::to_string(failed[i]);
+  }
+  msg += "}: " + first.message();
+  return Status::Unavailable(std::move(msg));
 }
 
 std::future<Response> ShardedFrontend::GatherStatus(
@@ -580,20 +562,18 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
   // per shard. Planning reads the PRIMARY replica's version — replicas
   // are content-identical, so any one of them is authoritative for
   // routing. (The replica sessions still pin their own flush-time
-  // versions for the queries themselves — same freshness contract the
-  // blind scatter had.)
+  // versions for the queries themselves.)
+  const GtsIndex& primary = *groups_[0]->replicas[0]->index();
   std::vector<GtsIndex::ReadSnapshot> snaps;
-  if (options_.prune_scatter) {
-    bool any_read = false;
-    for (const Request& r : requests) any_read |= r.is_read();
-    if (any_read) {
-      snaps.reserve(n);
-      for (auto& group : groups_) {
-        snaps.push_back(group->replicas[0]->index()->SnapshotForRead());
-        // The batch's routing probes against this shard are one
-        // concurrent probe wave, not a serial chain (AnchorClock).
-        snaps.back().AnchorClock();
-      }
+  bool any_read = false;
+  for (const Request& r : requests) any_read |= r.is_read();
+  if (any_read) {
+    snaps.reserve(n);
+    for (auto& group : groups_) {
+      snaps.push_back(group->replicas[0]->index()->SnapshotForRead());
+      // The batch's routing probes against this shard are one
+      // concurrent probe wave, not a serial chain (AnchorClock).
+      snaps.back().AnchorClock();
     }
   }
 
@@ -618,21 +598,14 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
   std::shared_ptr<KnnScatter> knn_state;
   std::vector<std::vector<Request>> shard_reqs(n);
 
-  const auto full_scatter = [&](size_t i, Request& request, bool is_range,
-                                uint32_t k) {
-    ScatterPlan plan;
-    plan.index = i;
-    plan.is_range = is_range;
-    plan.k = k;
-    plan.subs.reserve(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      Request sub;
-      sub.deadline_micros = request.deadline_micros;
-      sub.payload = request.payload;  // per-shard copy
-      plan.subs.push_back(GatherRef{s, shard_reqs[s].size()});
-      shard_reqs[s].push_back(std::move(sub));
-    }
-    scatter_plans.push_back(std::move(plan));
+  // Queues one sub-query of `request` (same deadline) on shard `s`.
+  const auto add_sub = [&](uint32_t s, const Request& request,
+                           RequestPayload payload) {
+    Request sub;
+    sub.deadline_micros = request.deadline_micros;
+    sub.payload = std::move(payload);
+    shard_reqs[s].push_back(std::move(sub));
+    return GatherRef{s, shard_reqs[s].size() - 1};
   };
 
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -641,21 +614,9 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
       futures[i] = SubmitUpdate(std::move(request));
       continue;
     }
-    auto* range = std::get_if<RangePayload>(&request.payload);
-    auto* knn = std::get_if<KnnPayload>(&request.payload);
-    auto* approx = std::get_if<KnnApproxPayload>(&request.payload);
-    const Dataset& query = range != nullptr  ? range->query
-                           : knn != nullptr ? knn->query
-                                            : approx->query;
-    // Mirror QuerySession's validation (same message) so a rejected read
-    // never reaches the planner. `!(cap >= 0)` rejects NaN.
-    const bool valid =
-        query.size() == 1 &&
-        groups_[0]->replicas[0]->index()->CompatibleData(query) &&
-        (knn == nullptr || knn->bound_cap >= 0.0f) &&
-        (approx == nullptr || (approx->candidate_fraction > 0.0 &&
-                               approx->candidate_fraction <= 1.0));
-    if (!valid) {
+    // The same predicate QuerySession applies, so a rejected read never
+    // reaches the planner.
+    if (!ValidRead(request, primary)) {
       futures[i] = ResolvedFuture(ErrorResponse(
           request,
           Status::InvalidArgument("query object invalid for this index")));
@@ -663,21 +624,18 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     }
     scatter_reads_.fetch_add(1, std::memory_order_relaxed);
 
-    // Approximate kNN always fans to every shard (file comment); so does
-    // everything when pruning is off.
-    if (approx != nullptr) {
-      full_scatter(i, request, /*is_range=*/false, approx->k);
-      continue;
-    }
-    if (snaps.empty()) {
-      full_scatter(i, request, range != nullptr, knn != nullptr ? knn->k : 0);
+    // Approximate kNN always fans to every shard (file comment).
+    if (const auto* approx = std::get_if<KnnApproxPayload>(&request.payload)) {
+      ScatterPlan plan{i, /*is_range=*/false, approx->k, {}};
+      for (uint32_t s = 0; s < n; ++s) {
+        plan.subs.push_back(add_sub(s, request, *approx));
+      }
+      scatter_plans.push_back(std::move(plan));
       continue;
     }
 
-    if (range != nullptr) {
-      ScatterPlan plan;
-      plan.index = i;
-      plan.is_range = true;
+    if (const auto* range = std::get_if<RangePayload>(&request.payload)) {
+      ScatterPlan plan{i, /*is_range=*/true, 0, {}};
       uint64_t pruned = 0;
       for (uint32_t s = 0; s < n; ++s) {
         const CoveringBall ball = snaps[s].covering_ball();
@@ -694,11 +652,7 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
           ++pruned;
           continue;
         }
-        Request sub;
-        sub.deadline_micros = request.deadline_micros;
-        sub.payload = RangePayload{range->query, range->radius};
-        plan.subs.push_back(GatherRef{s, shard_reqs[s].size()});
-        shard_reqs[s].push_back(std::move(sub));
+        plan.subs.push_back(add_sub(s, request, *range));
       }
       pruned_.fetch_add(pruned, std::memory_order_relaxed);
       if (plan.subs.empty()) {
@@ -711,6 +665,7 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     }
 
     // Exact kNN: two-phase pruned scatter.
+    auto* knn = std::get_if<KnnPayload>(&request.payload);
     if (knn->k == 0) {
       futures[i] =
           ResolvedFuture(Response{KnnResult(std::vector<Neighbor>{})});
@@ -751,19 +706,14 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     item.k = knn->k;
     item.client_cap = knn->bound_cap;
     item.deadline_micros = request.deadline_micros;
-    const uint32_t seed_shard = cands[seed].first;
     item.deferred.reserve(cands.size() - 1);
     for (size_t c = 0; c < cands.size(); ++c) {
       if (c != seed) item.deferred.push_back(cands[c]);
     }
-    Request sub;  // phase 1: the seed shard, under the client's cap only
-    sub.deadline_micros = request.deadline_micros;
-    sub.payload = KnnPayload{knn->query, knn->k, knn->bound_cap};
+    // Phase 1: the seed shard, under the client's cap only.
+    const GatherRef seed_ref = add_sub(cands[seed].first, request, *knn);
     item.query = std::move(knn->query);
-    knn_plans.push_back(KnnPlan{i, knn_state->items.size(),
-                                GatherRef{seed_shard,
-                                          shard_reqs[seed_shard].size()}});
-    shard_reqs[seed_shard].push_back(std::move(sub));
+    knn_plans.push_back(KnnPlan{i, knn_state->items.size(), seed_ref});
     knn_state->items.push_back(std::move(item));
   }
 
@@ -781,64 +731,19 @@ std::vector<std::future<Response>> ShardedFrontend::SubmitBatch(
     for (const GatherRef& ref : plan.subs) {
       subs.push_back(std::move(shard_subs[ref.shard][ref.pos]));
     }
-    if (plan.is_range) {
-      futures[plan.index] = std::async(
-          std::launch::deferred,
-          [this, n, subs = std::move(subs)]() mutable -> Response {
-            // Union of per-shard hits, remapped to global ids and sorted
-            // ascending — the canonical range order (search_range.cc
-            // sorts each per-query result), so the merge is
-            // byte-identical to a single-index run on a round-robin
-            // partition. Shards the planner pruned contribute nothing by
-            // construction (their balls cannot intersect the query ball).
-            std::vector<uint32_t> merged;
-            Status first_bad = Status::Ok();
-            for (SubRead& sub : subs) {
-              RangeResult res = std::move(AwaitRead(&sub).range());
-              if (!res.ok()) {
-                if (first_bad.ok()) first_bad = res.status();
-                continue;
-              }
-              for (const uint32_t local : res.value()) {
-                auto gid = ComposeGlobalId(local, sub.shard, n);
-                if (!gid.ok()) {
-                  if (first_bad.ok()) first_bad = gid.status();
-                  break;
-                }
-                merged.push_back(gid.value());
-              }
-            }
-            if (!first_bad.ok()) return Response{RangeResult(first_bad)};
-            std::sort(merged.begin(), merged.end());
-            return Response{RangeResult(std::move(merged))};
-          });
-    } else {
-      futures[plan.index] = std::async(
-          std::launch::deferred,
-          [this, n, k = plan.k, subs = std::move(subs)]() mutable -> Response {
-            std::vector<Neighbor> merged;
-            Status first_bad = Status::Ok();
-            for (SubRead& sub : subs) {
-              KnnResult res = std::move(AwaitRead(&sub).knn());
-              if (!res.ok()) {
-                if (first_bad.ok()) first_bad = res.status();
-                continue;
-              }
-              for (const Neighbor& nb : res.value()) {
-                auto gid = ComposeGlobalId(nb.id, sub.shard, n);
-                if (!gid.ok()) {
-                  if (first_bad.ok()) first_bad = gid.status();
-                  break;
-                }
-                merged.push_back(Neighbor{gid.value(), nb.dist});
-              }
-            }
-            if (!first_bad.ok()) return Response{KnnResult(first_bad)};
-            SortNeighbors(&merged);
-            if (merged.size() > k) merged.resize(k);
-            return Response{KnnResult(std::move(merged))};
-          });
-    }
+    futures[plan.index] = std::async(
+        std::launch::deferred,
+        [this, n, is_range = plan.is_range, k = plan.k,
+         subs = std::move(subs)]() mutable -> Response {
+          std::vector<ShardAnswer> answers;
+          for (SubRead& sub : subs) {
+            answers.emplace_back(sub.shard, AwaitRead(&sub));
+          }
+          if (is_range) {
+            return MergeShards<uint32_t>(std::move(answers), n, kNoLimit);
+          }
+          return MergeShards<Neighbor>(std::move(answers), n, k);
+        });
   }
   for (const KnnPlan& plan : knn_plans) {
     knn_state->items[plan.item].seed =
@@ -879,53 +784,26 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
     return std::async(
         std::launch::deferred,
         [this, n, shard, acks = std::move(acks)]() mutable -> Response {
-          fault::Registry& faults = fault::Registry::Instance();
-          const uint32_t rf = static_cast<uint32_t>(acks.size());
-          std::vector<Status> statuses;
-          statuses.reserve(rf);
-          std::vector<uint32_t> failed;
-          uint64_t local = 0;
-          bool have_local = false;
-          bool diverged = false;
-          for (uint32_t r = 0; r < rf; ++r) {
-            InsertResult res = std::move(acks[r].get().inserted());
-            Status status = res.ok() ? Status::Ok() : res.status();
-            if (status.ok() && faults.Trip("shard.write-ack", r)) {
-              status =
-                  Status::Unavailable("injected fault: shard.write-ack");
+          std::vector<Response> replies;
+          Status verdict = GatherAcks(shard, &acks, &replies);
+          // Every acked replica must have assigned the SAME local id — the
+          // write mutex guarantees it; a mismatch means the replicas
+          // forked and the global id would be a lie.
+          const uint32_t* local = nullptr;
+          for (const Response& reply : replies) {
+            if (!reply.ok()) continue;
+            if (local != nullptr && reply.inserted().value() != *local) {
+              return Response{InsertResult(Status::Internal(
+                  "replica local-id divergence on shard " +
+                  std::to_string(shard)))};
             }
-            if (status.ok()) {
-              // Every acked replica must have assigned the SAME local id
-              // — the write mutex guarantees it; a mismatch means the
-              // replicas forked and the global id would be a lie.
-              if (!have_local) {
-                local = res.value();
-                have_local = true;
-              } else if (res.value() != local) {
-                diverged = true;
-              }
-            } else {
-              failed.push_back(r);
-            }
-            statuses.push_back(std::move(status));
+            local = &reply.inserted().value();
           }
-          if (diverged) {
-            return Response{InsertResult(Status::Internal(
-                "replica local-id divergence on shard " +
-                std::to_string(shard)))};
-          }
-          bool partial = false;
-          Status verdict = AckVerdict(shard, rf, statuses, failed, &partial);
-          if (partial) {
-            partial_write_acks_.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!verdict.ok()) {
-            return Response{InsertResult(std::move(verdict))};
-          }
+          if (!verdict.ok()) return Response{InsertResult(std::move(verdict))};
           // An overflowing composition reports the error AFTER the shard
           // applied the insert — the id space is exhausted, not the
           // update rolled back.
-          auto gid = ComposeGlobalId(local, shard, n);
+          auto gid = ComposeGlobalId(*local, shard, n);
           if (!gid.ok()) return Response{InsertResult(gid.status())};
           return Response{InsertResult(gid.value())};
         });

@@ -38,7 +38,7 @@
 //        phase 2 takes the seed's k-th distance as a global upper bound
 //        b, skips every remaining shard with lower bound strictly above
 //        b, and submits to the rest with the bound as a search cap
-//        (KnnPayload::bound_cap -> GtsIndex::KnnQueryBatchBounded). The
+//        (KnnPayload::bound_cap -> KnnOptions::initial_bounds). The
 //        cap only tightens pruning: comparisons against it are strict, so
 //        candidates tied at the bound survive, and capped shards may only
 //        drop neighbors that provably cannot enter the global top-k.
@@ -49,24 +49,25 @@
 //    The surviving sub-queries of a SubmitBatch call are coalesced into
 //    ONE batched submission per shard — to one replica of each shard,
 //    chosen round-robin among the healthy replicas — and the per-shard
-//    answers merge in the canonical result order — ascending id for
-//    range, ascending (dist, id) for kNN, the same total order
-//    GtsIndex::KnnQueryBatch maintains internally. Selection by a total
-//    order commutes with partitioning, so on a round-robin partition the
-//    merged result is byte-identical to a single index over the whole
-//    corpus, pruning on or off, and — because replicas hold identical
-//    content — REGARDLESS of which replica served each sub-query
+//    answers merge — through one merge routine for every read family —
+//    in the canonical result order: ascending id for range, ascending
+//    (dist, id) for kNN, the same total order GtsIndex::KnnQueryBatch
+//    maintains internally. Selection by a total order commutes with
+//    partitioning, so on a round-robin partition the merged result is
+//    byte-identical to a single index over the whole corpus, and —
+//    because replicas hold identical content — REGARDLESS of which
+//    replica served each sub-query
 //    (enforced by tests/serve_sharded_test.cc and
 //    tests/serve_replica_test.cc). Only exact reads carry the
 //    byte-identity guarantee. Pruning decisions are taken against each
 //    shard's primary-replica version at planning time; a concurrently
 //    published update lands in a later read's plan, the same freshness
-//    contract an unpruned scatter has.
+//    contract any scatter has.
 //  - Failover (replication_factor > 1): a sub-query whose replica
 //    reports kUnavailable — or, when the read carries a deadline_micros
 //    envelope, whose attempt exceeds its share of the remaining budget —
-//    is retried on the next healthy replica of the shard, up to
-//    `max_read_attempts` attempts. A failing replica is marked unhealthy
+//    is retried on the next healthy replica of the shard, with a budget
+//    of one attempt per replica. A failing replica is marked unhealthy
 //    and stops receiving first-attempt reads; every `probe_period`-th
 //    replica pick of its shard sends a probe its way, and one successful
 //    answer restores it. With no healthy replica left, reads are served
@@ -128,15 +129,6 @@ struct FrontendOptions {
   /// Worker threads of the shared pool all replica flushes run on.
   /// 0 = std::thread::hardware_concurrency() (at least 1).
   uint32_t executor_threads = 4;
-  /// Covering-ball shard pruning + two-phase kNN scatter (the file
-  /// comment). Off = the legacy blind scatter — every read fans to every
-  /// shard. Results are byte-identical either way; the knob exists for
-  /// differential tests and for A/B measurement in the serve bench.
-  bool prune_scatter = true;
-  /// Read failover budget: total attempts per sub-query, the first
-  /// included. 0 = one attempt per replica of the shard (the default —
-  /// every replica gets one chance). 1 disables failover.
-  uint32_t max_read_attempts = 0;
   /// Health probing cadence: every `probe_period`-th replica pick of a
   /// shard is offered to an unhealthy replica (if any) instead of the
   /// round-robin healthy choice, so a recovered replica is rediscovered.
@@ -190,20 +182,15 @@ struct FrontendStats {
 /// The sharded, replicated front door. See the file comment.
 class ShardedFrontend {
  public:
-  /// Unreplicated convenience: `shards[s]` becomes the single replica of
-  /// shard id `s`. Equivalent to the replicated constructor with one
-  /// replica per shard.
-  explicit ShardedFrontend(std::vector<GtsIndex*> shards,
-                           FrontendOptions options = {});
-  /// Replicated form: `shards[s]` lists the replicas of shard `s`, all
-  /// holding IDENTICAL content (same objects, same local ids — build
-  /// them from the same slice, and route all updates through the
-  /// frontend so they stay identical). Every index must outlive the
-  /// frontend. Every shard needs at least one replica and every shard
-  /// the SAME replica count; a malformed layout yields a frontend with
-  /// no shards (every submission errors). For the global-id mapping to
-  /// reproduce corpus ids, build the shards as the round-robin partition
-  /// described in the file comment.
+  /// `shards[s]` lists the replicas of shard `s` (one entry for an
+  /// unreplicated shard), all holding IDENTICAL content (same objects,
+  /// same local ids — build them from the same slice, and route all
+  /// updates through the frontend so they stay identical). Every index
+  /// must outlive the frontend. Every shard needs at least one replica
+  /// and every shard the SAME replica count; a malformed layout yields a
+  /// frontend with no shards (every submission errors). For the
+  /// global-id mapping to reproduce corpus ids, build the shards as the
+  /// round-robin partition described in the file comment.
   explicit ShardedFrontend(std::vector<std::vector<GtsIndex*>> shards,
                            FrontendOptions options = {});
   /// Drains every replica session, then stops the shared pool.
@@ -317,7 +304,8 @@ class ShardedFrontend {
   /// shard batchers and their flushes overlap, instead of serializing
   /// behind a caller that gathers groups one at a time. Gather keeps its
   /// own idempotent RunPhase2 fallback, so correctness never depends on
-  /// the driver's progress.
+  /// the driver's progress. Kept on measurement: without it, batched
+  /// sharded kNN throughput drops (docs/ARCHITECTURE.md, sharded reads).
   void DriverLoop() EXCLUDES(driver_mu_);
 
   /// First-attempt replica pick for one shard's scatter wave:
@@ -334,13 +322,13 @@ class ShardedFrontend {
   /// Resolves one sub-query WITH failover: waits for the current
   /// attempt (bounded by the request's per-attempt deadline share when
   /// it carries one), retries kUnavailable / timed-out attempts on the
-  /// next replica up to the attempt budget, and maintains replica
-  /// health. Runs on the gathering thread.
+  /// next replica — one attempt per replica of the shard — and maintains
+  /// replica health. Runs on the gathering thread.
   Response AwaitRead(SubRead* sub);
   /// Submits one shard's coalesced sub-query wave to the shard's picked
   /// replica (ONE batched SubmitBatch) and returns the failover-capable
   /// SubReads; the kept request copies power AwaitRead's resubmission
-  /// (skipped when the attempt budget is 1 — nothing to resubmit).
+  /// (skipped for an unreplicated shard — nothing to fail over to).
   std::vector<SubRead> SubmitShardWave(uint32_t shard,
                                        std::vector<Request> requests);
 
@@ -351,11 +339,17 @@ class ShardedFrontend {
   /// order.
   std::vector<std::future<Response>> FanWrite(uint32_t shard,
                                               const Request& request);
-  /// Gathers one shard's write acks (UpdateResult alternatives): Ok iff
-  /// every replica acked. Applies the `shard.write-ack` fault per
-  /// replica; a partial ack set is an explicit kUnavailable naming the
-  /// failed replicas. Runs on the gathering thread.
-  Status GatherAcks(uint32_t shard, std::vector<std::future<Response>>* acks);
+  /// The one write-ack gather: waits for one shard's per-replica acks
+  /// and returns Ok iff every replica acked. Applies the
+  /// `shard.write-ack` fault per replica (a lost ack becomes an
+  /// unavailable reply). A partial ack set is an explicit kUnavailable
+  /// naming the failed replicas; a unanimous identical rejection (every
+  /// replica refused with the same non-unavailable code, e.g. an invalid
+  /// payload) passes through unchanged — the rejection IS the answer.
+  /// `replies` (optional) receives the replies in replica order, for
+  /// Insert's local-id check. Runs on the gathering thread.
+  Status GatherAcks(uint32_t shard, std::vector<std::future<Response>>* acks,
+                    std::vector<Response>* replies = nullptr);
   /// Deferred whole-scatter ack gather: first failing shard's status (by
   /// shard order), through GatherAcks per shard.
   std::future<Response> GatherStatus(

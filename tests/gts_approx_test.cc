@@ -3,6 +3,8 @@
 // fraction = 1 reproduces the exact result.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/brute_force.h"
 #include "core/gts.h"
 #include "data/generators.h"
@@ -23,6 +25,13 @@ class GtsApproxTest : public ::testing::Test {
                                  options);
     ASSERT_TRUE(built.ok());
     index_ = std::move(built).value();
+  }
+
+  /// The approximate query: KnnQueryBatch at candidate `fraction`.
+  Result<KnnResults> Approx(const Dataset& queries, uint32_t k,
+                            double fraction) const {
+    return index_->KnnQueryBatch(queries, k, nullptr,
+                                 KnnOptions{.candidate_fraction = fraction});
   }
 
   double RecallAt(const KnnResults& got, const KnnResults& truth) const {
@@ -47,7 +56,7 @@ TEST_F(GtsApproxTest, FullFractionIsExact) {
   Build(DatasetId::kVector, 800);
   const Dataset queries = SampleQueries(index_->data(), 12, 3);
   auto exact = index_->KnnQueryBatch(queries, 8);
-  auto approx = index_->KnnQueryBatchApprox(queries, 8, 1.0);
+  auto approx = Approx(queries, 8, 1.0);
   ASSERT_TRUE(exact.ok() && approx.ok());
   for (uint32_t q = 0; q < queries.size(); ++q) {
     ASSERT_EQ(approx.value()[q].size(), exact.value()[q].size());
@@ -67,7 +76,7 @@ TEST_F(GtsApproxTest, SmallFractionSavesDistancesWithGoodRecall) {
   const uint64_t exact_dists = index_->query_stats().distance_computations;
 
   index_->ResetQueryStats();
-  auto approx = index_->KnnQueryBatchApprox(queries, 8, 0.1);
+  auto approx = Approx(queries, 8, 0.1);
   ASSERT_TRUE(approx.ok());
   const uint64_t approx_dists = index_->query_stats().distance_computations;
 
@@ -87,7 +96,7 @@ TEST_F(GtsApproxTest, RecallGrowsWithFraction) {
 
   double prev_recall = -1.0;
   for (const double fraction : {0.05, 0.3, 1.0}) {
-    auto approx = index_->KnnQueryBatchApprox(queries, 8, fraction);
+    auto approx = Approx(queries, 8, fraction);
     ASSERT_TRUE(approx.ok());
     const double recall = RecallAt(approx.value(), exact.value());
     EXPECT_GE(recall, prev_recall - 0.05) << "fraction " << fraction;
@@ -99,15 +108,17 @@ TEST_F(GtsApproxTest, RecallGrowsWithFraction) {
 TEST_F(GtsApproxTest, RejectsBadFraction) {
   Build(DatasetId::kTLoc, 200);
   const Dataset queries = SampleQueries(index_->data(), 2, 3);
-  EXPECT_FALSE(index_->KnnQueryBatchApprox(queries, 4, 0.0).ok());
-  EXPECT_FALSE(index_->KnnQueryBatchApprox(queries, 4, 1.5).ok());
+  EXPECT_FALSE(Approx(queries, 4, 0.0).ok());
+  EXPECT_FALSE(Approx(queries, 4, 1.5).ok());
+  EXPECT_FALSE(
+      Approx(queries, 4, std::numeric_limits<double>::quiet_NaN()).ok());
 }
 
 TEST_F(GtsApproxTest, ExactModeUnaffectedAfterApproxCall) {
   Build(DatasetId::kTLoc, 600);
   const Dataset queries = SampleQueries(index_->data(), 8, 3);
   auto before = index_->KnnQueryBatch(queries, 4);
-  ASSERT_TRUE(index_->KnnQueryBatchApprox(queries, 4, 0.05).ok());
+  ASSERT_TRUE(Approx(queries, 4, 0.05).ok());
   auto after = index_->KnnQueryBatch(queries, 4);
   ASSERT_TRUE(before.ok() && after.ok());
   for (uint32_t q = 0; q < queries.size(); ++q) {

@@ -16,7 +16,11 @@ namespace {
 class GtsSerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/gts_index.bin";
+    // One file per test: ctest runs the cases as parallel processes, and
+    // a shared path lets one case's TearDown delete another's index.
+    path_ = ::testing::TempDir() + "/gts_index_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

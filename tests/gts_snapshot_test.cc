@@ -77,7 +77,8 @@ TEST(GtsSnapshotTest, ReadsCompleteWhileWriterMutexHeld) {
     EXPECT_TRUE(snapshot.KnnQueryBatch(queries, 8).ok());
     EXPECT_TRUE(env.index->RangeQueryBatch(queries, radii).ok());
     EXPECT_TRUE(env.index->KnnQueryBatch(queries, 8).ok());
-    EXPECT_TRUE(env.index->KnnQueryBatchApprox(queries, 8, 0.5).ok());
+    const KnnOptions approx{.candidate_fraction = 0.5};
+    EXPECT_TRUE(env.index->KnnQueryBatch(queries, 8, nullptr, approx).ok());
     EXPECT_GT(env.index->alive_size(), 0u);
     EXPECT_GT(env.index->height(), 0u);
     EXPECT_GT(env.index->IndexBytes(), 0u);

@@ -106,11 +106,23 @@ TEST(ServeExecutorDifferential, SingleQueryShardsMatch) {
   ASSERT_TRUE(got.ok());
   ExpectIdenticalRange(got.value(), want.value());
 
-  auto want_knn = env.index->KnnQueryBatchApprox(queries, 4, 0.5);
+  const KnnOptions approx{.candidate_fraction = 0.5};
+  auto want_knn = env.index->KnnQueryBatch(queries, 4, nullptr, approx);
   ASSERT_TRUE(want_knn.ok());
-  auto got_knn = exec.KnnQueryBatchApprox(queries, 4, 0.5);
+  auto got_knn = exec.KnnQueryBatch(queries, 4, nullptr, approx);
   ASSERT_TRUE(got_knn.ok());
   ExpectIdenticalKnn(got_knn.value(), want_knn.value());
+
+  // Per-query initial bounds are split along with the queries: each
+  // single-query shard must see its own bound.
+  std::vector<float> caps(queries.size());
+  for (uint32_t q = 0; q < caps.size(); ++q) caps[q] = 1.0f + (q % 3);
+  const KnnOptions bounded{.initial_bounds = caps};
+  auto want_bounded = env.index->KnnQueryBatch(queries, 4, nullptr, bounded);
+  ASSERT_TRUE(want_bounded.ok());
+  auto got_bounded = exec.KnnQueryBatch(queries, 4, nullptr, bounded);
+  ASSERT_TRUE(got_bounded.ok());
+  ExpectIdenticalKnn(got_bounded.value(), want_bounded.value());
 }
 
 TEST(ServeExecutorTest, ShardBoundsCoverInputInOrder) {
@@ -145,7 +157,8 @@ TEST(ServeExecutorTest, PropagatesValidationErrors) {
   // spawn no shards: invalid arguments must still be rejected.
   const Dataset no_queries = GenerateDataset(DatasetId::kTLoc, 0, 1);
   EXPECT_FALSE(exec.RangeQueryBatch(no_queries, bad_radii).ok());
-  EXPECT_FALSE(exec.KnnQueryBatchApprox(no_queries, 4, 2.0).ok());
+  const KnnOptions bad_fraction{.candidate_fraction = 2.0};
+  EXPECT_FALSE(exec.KnnQueryBatch(no_queries, 4, nullptr, bad_fraction).ok());
   auto empty_ok = exec.KnnQueryBatch(no_queries, 4);
   ASSERT_TRUE(empty_ok.ok());
   EXPECT_TRUE(empty_ok.value().empty());
@@ -154,8 +167,14 @@ TEST(ServeExecutorTest, PropagatesValidationErrors) {
   const std::vector<float> radii(4, 1.0f);
   EXPECT_FALSE(exec.RangeQueryBatch(incompatible, radii).ok());
   EXPECT_FALSE(exec.KnnQueryBatch(incompatible, 4).ok());
-  EXPECT_FALSE(exec.KnnQueryBatchApprox(queries, 4, 0.0).ok());
-  EXPECT_FALSE(exec.KnnQueryBatchApprox(queries, 4, 1.5).ok());
+  for (const double fraction : {0.0, 1.5}) {
+    const KnnOptions bad{.candidate_fraction = fraction};
+    EXPECT_FALSE(exec.KnnQueryBatch(queries, 4, nullptr, bad).ok());
+  }
+  // One initial bound per query, proven before the per-shard split.
+  const std::vector<float> short_caps(3, 1.0f);
+  const KnnOptions bad_bounds{.initial_bounds = short_caps};
+  EXPECT_FALSE(exec.KnnQueryBatch(queries, 4, nullptr, bad_bounds).ok());
 }
 
 TEST(ServeExecutorTest, AggregatesStatsAcrossShards) {
@@ -248,7 +267,8 @@ TEST(ServeStatsRegression, ApproxFractionDoesNotLeakAcrossCalls) {
 
   std::thread approx_thread([&] {
     for (int i = 0; i < 12; ++i) {
-      auto res = env.index->KnnQueryBatchApprox(queries, 8, 0.05);
+      auto res = env.index->KnnQueryBatch(
+          queries, 8, nullptr, KnnOptions{.candidate_fraction = 0.05});
       EXPECT_TRUE(res.ok());
     }
   });

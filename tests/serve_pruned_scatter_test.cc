@@ -103,10 +103,11 @@ Corpus ClusteredStringCorpus(uint32_t n, uint64_t seed) {
   return c;
 }
 
-std::vector<GtsIndex*> ShardPtrs(const Corpus& c) {
-  std::vector<GtsIndex*> ptrs;
-  for (const auto& s : c.shards) ptrs.push_back(s.get());
-  return ptrs;
+/// The unreplicated frontend layout: each shard its own single replica.
+std::vector<std::vector<GtsIndex*>> OneReplicaLayout(const Corpus& c) {
+  std::vector<std::vector<GtsIndex*>> layout;
+  for (const auto& s : c.shards) layout.push_back({s.get()});
+  return layout;
 }
 
 void ExpectKnnEqual(const std::vector<Neighbor>& got,
@@ -120,9 +121,9 @@ void ExpectKnnEqual(const std::vector<Neighbor>& got,
 
 // On a clustered partition, pruning must fire (a near-cluster query
 // cannot touch the other clusters' balls) AND every answer must stay
-// byte-identical to the single-index run — with the knob on and off, on
-// L2. Also checks the planner's accounting invariant: every planned read
-// resolves each shard exactly once, submitted or pruned.
+// byte-identical to a single index over the whole corpus, on L2. Also
+// checks the planner's accounting invariant: every planned read resolves
+// each shard exactly once, submitted or pruned.
 TEST(ServePrunedScatterDifferential, ClusteredVectorsPruneAndStayExact) {
   for (const uint32_t num_shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(num_shards));
@@ -131,47 +132,39 @@ TEST(ServePrunedScatterDifferential, ClusteredVectorsPruneAndStayExact) {
     const Dataset queries = SampleQueries(c.data, kQueries, 77);
     const float r = 15.0f;  // covers the home cluster, far from the rest
 
-    for (const bool prune : {true, false}) {
-      SCOPED_TRACE(prune ? "pruned" : "blind");
-      serve::FrontendOptions options;
-      options.session.max_batch = 6;
-      options.session.max_wait_micros = 50;
-      options.prune_scatter = prune;
-      serve::ShardedFrontend frontend(ShardPtrs(c), options);
+    serve::FrontendOptions options;
+    options.session.max_batch = 6;
+    options.session.max_wait_micros = 50;
+    serve::ShardedFrontend frontend(OneReplicaLayout(c), options);
 
-      std::vector<std::future<Response>> range_futs, knn_futs;
-      for (uint32_t q = 0; q < kQueries; ++q) {
-        range_futs.push_back(frontend.Submit(Request::Range(queries, q, r)));
-        knn_futs.push_back(frontend.Submit(Request::Knn(queries, q, 5)));
-      }
-      for (uint32_t q = 0; q < kQueries; ++q) {
-        Response range = range_futs[q].get();
-        ASSERT_TRUE(range.ok()) << range.status().ToString();
-        auto want_range = c.whole->RangeQuery(queries, q, r);
-        ASSERT_TRUE(want_range.ok());
-        EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
-
-        Response knn = knn_futs[q].get();
-        ASSERT_TRUE(knn.ok()) << knn.status().ToString();
-        auto want_knn = c.whole->KnnQuery(queries, q, 5);
-        ASSERT_TRUE(want_knn.ok());
-        ExpectKnnEqual(knn.knn().value(), want_knn.value(), q);
-      }
-      frontend.Drain();
-      const serve::FrontendStats stats = frontend.stats();
-      EXPECT_EQ(stats.scatter_reads, uint64_t{2} * kQueries);
-      EXPECT_EQ(stats.submitted + stats.pruned_shard_queries,
-                uint64_t{2} * kQueries * num_shards);
-      EXPECT_EQ(stats.completed, stats.submitted);
-      if (prune && num_shards > 1) {
-        // Every read's home cluster is far from the other shards' balls:
-        // the planner must skip most of the fan-out.
-        EXPECT_GE(stats.pruned_shard_queries,
-                  uint64_t{2} * kQueries * (num_shards - 1));
-      } else if (!prune) {
-        EXPECT_EQ(stats.pruned_shard_queries, 0u);
-      }
+    std::vector<std::future<Response>> range_futs, knn_futs;
+    for (uint32_t q = 0; q < kQueries; ++q) {
+      range_futs.push_back(frontend.Submit(Request::Range(queries, q, r)));
+      knn_futs.push_back(frontend.Submit(Request::Knn(queries, q, 5)));
     }
+    for (uint32_t q = 0; q < kQueries; ++q) {
+      Response range = range_futs[q].get();
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      auto want_range = c.whole->RangeQuery(queries, q, r);
+      ASSERT_TRUE(want_range.ok());
+      EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
+
+      Response knn = knn_futs[q].get();
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      auto want_knn = c.whole->KnnQuery(queries, q, 5);
+      ASSERT_TRUE(want_knn.ok());
+      ExpectKnnEqual(knn.knn().value(), want_knn.value(), q);
+    }
+    frontend.Drain();
+    const serve::FrontendStats stats = frontend.stats();
+    EXPECT_EQ(stats.scatter_reads, uint64_t{2} * kQueries);
+    EXPECT_EQ(stats.submitted + stats.pruned_shard_queries,
+              uint64_t{2} * kQueries * num_shards);
+    EXPECT_EQ(stats.completed, stats.submitted);
+    // Every read's home cluster is far from the other shards' balls: the
+    // planner must skip most of the fan-out.
+    EXPECT_GE(stats.pruned_shard_queries,
+              uint64_t{2} * kQueries * (num_shards - 1));
   }
 }
 
@@ -183,7 +176,7 @@ TEST(ServePrunedScatterDifferential, ClusteredStringsPruneAndStayExact) {
   constexpr uint32_t kQueries = 16;
   const Dataset queries = SampleQueries(c.data, kQueries, 5);
 
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
   std::vector<std::future<Response>> range_futs, knn_futs;
   for (uint32_t q = 0; q < kQueries; ++q) {
     range_futs.push_back(frontend.Submit(Request::Range(queries, q, 2.0f)));
@@ -231,7 +224,7 @@ TEST(ServePrunedScatterDifferential, GrazingBallBoundaryKeepsBoundaryHits) {
   Dataset query = Dataset::FloatVectors(2);
   query.AppendVector(std::vector<float>{95.0f, 0.0f});  // d to shard 1: 5.0
 
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
   const auto run_range = [&](float r) {
     Response got = frontend.Submit(Request::Range(query, 0, r)).get();
     EXPECT_TRUE(got.ok()) << got.status().ToString();
@@ -268,7 +261,7 @@ TEST(ServePrunedScatterDifferential, GrazingBallBoundaryKeepsBoundaryHits) {
 TEST(ServePrunedScatterTest, AllPrunedReadResolvesEmptyWithoutScatter) {
   constexpr uint32_t kShards = 4;
   Corpus c = ClusteredVectorCorpus(400, kShards, 3, 1000.0f, 10.0f);
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
 
   Dataset far = Dataset::FloatVectors(2);
   far.AppendVector(std::vector<float>{1.0e6f, 1.0e6f});
@@ -296,7 +289,7 @@ TEST(ServePrunedScatterTest, AllPrunedReadResolvesEmptyWithoutScatter) {
 TEST(ServePrunedScatterTest, EmptiedShardIsPrunedAfterChurn) {
   Corpus c = ClusteredVectorCorpus(240, 2, 19, 1000.0f, 10.0f);
   const Dataset queries = SampleQueries(c.data, 10, 41);
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
 
   // Remove every odd global id — all of shard 1 — through the frontend.
   for (uint32_t g = 1; g < c.data.size(); g += 2) {
@@ -358,7 +351,7 @@ TEST(ServePrunedScatterTest, ComposeGlobalIdBoundary) {
 TEST(ServePrunedScatterTest, WriterDeadlinePropagatesThroughFanOut) {
   constexpr uint32_t kShards = 3;
   Corpus c = ClusteredVectorCorpus(120, kShards, 23, 1000.0f, 10.0f);
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
 
   Request batch = Request::BatchUpdate(
       c.data.Slice(std::span<const uint32_t>{}), {0, 1, 2});
@@ -403,7 +396,7 @@ TEST(ServePrunedScatterTest, BatchedScatterKeepsEdfComposition) {
     std::lock_guard<std::mutex> lock(flush_mu);
     flushes.emplace_back(seqs.begin(), seqs.end());
   };
-  serve::ShardedFrontend frontend(ShardPtrs(c), options);
+  serve::ShardedFrontend frontend(OneReplicaLayout(c), options);
 
   // Radius large enough that NO shard prunes: the sub-request order (and
   // so the per-session seqs) equals the request order on both shards.

@@ -1,14 +1,14 @@
 // Unified request-plane suite: Submit(serve::Request) through QuerySession
-// and SessionRouter must be byte-identical to the legacy per-type entry
-// points (which are now one-line wrappers over it) and to direct batch
-// calls, across seeds and operation mixes; rejections must resolve in the
-// request's own typed Response alternative. Runs under the clang-tsan CI
-// job's Serve re-run.
+// and SessionRouter must be byte-identical to direct index calls, across
+// seeds and operation mixes; rejections must resolve in the request's own
+// typed Response alternative. Runs under the clang-tsan CI job's Serve
+// re-run.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 
 #include <future>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "serve/query_session.h"
 #include "serve/request.h"
 #include "serve/session_router.h"
+#include "serve/sharded_frontend.h"
 
 namespace gts {
 namespace {
@@ -58,9 +59,9 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& got,
   }
 }
 
-// The unified entry point, the legacy wrappers, and the direct batch path
-// must agree byte-for-byte on every operation family, across seeds.
-TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
+// The unified entry point and the direct batch path must agree
+// byte-for-byte on every operation family, across seeds.
+TEST(ServeRequestDifferential, UnifiedMatchesBatchAcrossSeeds) {
   for (const uint64_t seed : {11u, 12u, 13u}) {
     Env env = MakeIndexedEnv(DatasetId::kTLoc, 700, seed);
     const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
@@ -73,21 +74,22 @@ TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
     opts.max_wait_micros = 50;
     serve::QuerySession session(env.index.get(), &exec, opts);
 
+    // The approximate leg's reference: one direct batched call at the
+    // same candidate fraction (a query's descent depends only on its own
+    // state, so batch composition cannot change its answer).
+    auto want_approx = env.index->KnnQueryBatch(
+        queries, 5, nullptr, KnnOptions{.candidate_fraction = 0.5});
+    ASSERT_TRUE(want_approx.ok()) << want_approx.status().ToString();
+
     std::vector<std::future<Response>> unified_range, unified_knn,
         unified_approx;
-    std::vector<std::future<Result<std::vector<uint32_t>>>> legacy_range;
-    std::vector<std::future<Result<std::vector<Neighbor>>>> legacy_knn,
-        legacy_approx;
     for (uint32_t q = 0; q < kQueries; ++q) {
       const uint64_t deadline = (q % 3 == 0) ? 400 : 0;
       unified_range.push_back(
           session.Submit(Request::Range(queries, q, r, deadline)));
-      legacy_range.push_back(session.SubmitRange(queries, q, r, deadline));
       unified_knn.push_back(session.Submit(Request::Knn(queries, q, 5)));
-      legacy_knn.push_back(session.SubmitKnn(queries, q, 5));
       unified_approx.push_back(
           session.Submit(Request::KnnApprox(queries, q, 5, 0.5)));
-      legacy_approx.push_back(session.SubmitKnnApprox(queries, q, 5, 0.5));
     }
 
     for (uint32_t q = 0; q < kQueries; ++q) {
@@ -96,24 +98,16 @@ TEST(ServeRequestDifferential, UnifiedMatchesLegacyAndBatchAcrossSeeds) {
       auto want_range = env.index->RangeQuery(queries, q, r);
       ASSERT_TRUE(want_range.ok());
       EXPECT_EQ(range.range().value(), want_range.value()) << "query " << q;
-      auto legacy = legacy_range[q].get();
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(legacy.value(), want_range.value());
 
       Response knn = unified_knn[q].get();
       ASSERT_TRUE(knn.ok());
       auto want_knn = env.index->KnnQuery(queries, q, 5);
       ASSERT_TRUE(want_knn.ok());
       ExpectSameNeighbors(knn.knn().value(), want_knn.value());
-      auto legacy_k = legacy_knn[q].get();
-      ASSERT_TRUE(legacy_k.ok());
-      ExpectSameNeighbors(legacy_k.value(), want_knn.value());
 
       Response approx = unified_approx[q].get();
       ASSERT_TRUE(approx.ok());
-      auto legacy_a = legacy_approx[q].get();
-      ASSERT_TRUE(legacy_a.ok());
-      ExpectSameNeighbors(approx.knn().value(), legacy_a.value());
+      ExpectSameNeighbors(approx.knn().value(), want_approx.value()[q]);
     }
     session.Drain();
     const serve::SessionStats stats = session.stats();
@@ -173,8 +167,7 @@ TEST(ServeRequestTest, UpdateFamiliesRoundTripThroughUnifiedPlane) {
 }
 
 // Rejections resolve in the request's own typed alternative, so typed
-// consumers of Response (and the legacy wrappers unwrapping it) never see
-// a foreign alternative.
+// consumers of Response never see a foreign alternative.
 TEST(ServeRequestTest, RejectionsStayTyped) {
   Env env = MakeIndexedEnv(DatasetId::kTLoc, 300, 41);
   const Dataset queries = SampleQueries(env.data, 4, 5);
@@ -214,9 +207,81 @@ TEST(ServeRequestTest, RejectionsStayTyped) {
   EXPECT_FALSE(Request::Rebuild().is_read());
 }
 
-// Routed unified submissions must match the legacy router wrappers and
-// the per-tenant direct answers — the router plumbs one entry point.
-TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
+// A NaN or negative range radius is rejected with kInvalidArgument before
+// admission — by the batched core call, and by the session and the
+// sharded frontend through their shared ValidRead — while a valid range
+// read submitted beside it, in the same admission pass and so the same
+// flush, still gets its exact answer. (The core check alone would not do:
+// one bad radius in a coalesced batch fails every read of the flush.)
+TEST(ServeRequestTest, BadRadiusRejectedBeforeAdmission) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 600, 51);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
+  const Dataset queries = SampleQueries(env.data, 3, 9);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto want = env.index->RangeQuery(queries, 1, r);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want.value().empty());
+
+  for (const float bad : {nan, -1.0f}) {
+    std::vector<float> radii(queries.size(), r);
+    radii[2] = bad;
+    EXPECT_EQ(env.index->RangeQueryBatch(queries, radii).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // The round-robin 2-shard partition of the same corpus: global ids
+  // coincide with corpus ids, so the frontend's answer equals `want`.
+  std::vector<std::unique_ptr<GtsIndex>> shards;
+  for (uint32_t s = 0; s < 2; ++s) {
+    std::vector<uint32_t> ids;
+    for (uint32_t g = s; g < env.data.size(); g += 2) ids.push_back(g);
+    auto built = GtsIndex::Build(env.data.Slice(ids), env.metric.get(),
+                                 env.device.get(), GtsOptions{});
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    shards.push_back(std::move(built).value());
+  }
+  // shard_size 64: the session's flush runs its whole range group as ONE
+  // batched call, so a bad radius let through would fail the valid read.
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 64});
+  serve::QuerySession session(env.index.get(), &exec);
+  serve::ShardedFrontend frontend({{shards[0].get()}, {shards[1].get()}});
+
+  const auto group = [&] {
+    std::vector<Request> requests;
+    requests.push_back(Request::Range(queries, 0, nan));
+    requests.push_back(Request::Range(queries, 1, r));
+    requests.push_back(Request::Range(queries, 2, -1.0f));
+    return requests;
+  };
+  std::vector<std::vector<std::future<Response>>> runs;
+  runs.push_back(session.SubmitBatch(group()));
+  runs.push_back(frontend.SubmitBatch(group()));
+  for (auto& futures : runs) {
+    EXPECT_EQ(futures[0].get().range().status().code(),
+              StatusCode::kInvalidArgument);
+    const serve::RangeResult valid = futures[1].get().range();
+    ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+    EXPECT_EQ(valid.value(), want.value());
+    EXPECT_EQ(futures[2].get().range().status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The single-request entry points take the same path.
+  EXPECT_EQ(
+      session.Submit(Request::Range(queries, 0, nan)).get().status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      frontend.Submit(Request::Range(queries, 0, nan)).get().status().code(),
+      StatusCode::kInvalidArgument);
+
+  session.Drain();
+  const serve::SessionStats stats = session.stats();
+  EXPECT_EQ(stats.rejected, 3u);
+  EXPECT_EQ(stats.submitted, 1u);
+}
+
+// Routed unified submissions must match the per-tenant direct answers —
+// the router plumbs one entry point.
+TEST(ServeRequestDifferential, RouterUnifiedMatchesPerTenantIndex) {
   Env a = MakeIndexedEnv(DatasetId::kTLoc, 500, 61);
   Env b = MakeIndexedEnv(DatasetId::kWords, 300, 62);
   Env* envs[] = {&a, &b};
@@ -231,11 +296,9 @@ TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
   for (uint32_t t = 0; t < 2; ++t) {
     const Dataset queries = SampleQueries(envs[t]->data, kQueries, 81 + t);
     std::vector<std::future<Response>> unified;
-    std::vector<std::future<Result<std::vector<Neighbor>>>> legacy;
     for (uint32_t q = 0; q < kQueries; ++q) {
       unified.push_back(
           router.Submit(Request::Knn(queries, q, 6).ForTenant(t)));
-      legacy.push_back(router.SubmitKnn(t, queries, q, 6));
     }
     for (uint32_t q = 0; q < kQueries; ++q) {
       Response got = unified[q].get();
@@ -243,9 +306,6 @@ TEST(ServeRequestDifferential, RouterUnifiedMatchesLegacyPerTenant) {
       auto want = envs[t]->index->KnnQuery(queries, q, 6);
       ASSERT_TRUE(want.ok());
       ExpectSameNeighbors(got.knn().value(), want.value());
-      auto legacy_got = legacy[q].get();
-      ASSERT_TRUE(legacy_got.ok());
-      ExpectSameNeighbors(legacy_got.value(), want.value());
     }
   }
   router.Drain();

@@ -25,6 +25,9 @@
 namespace gts {
 namespace {
 
+using serve::Request;
+using serve::Response;
+
 struct Env {
   Dataset data = Dataset::Strings();
   std::unique_ptr<DistanceMetric> metric;
@@ -83,25 +86,25 @@ TEST(ServeRouterDifferential, RoutedResultsMatchPerIndexBatches) {
   }
 
   // Interleave tenants query-by-query; every third read gets a deadline.
-  std::vector<std::vector<std::future<Result<std::vector<uint32_t>>>>>
-      range_futures(3);
-  std::vector<std::vector<std::future<Result<std::vector<Neighbor>>>>>
+  std::vector<std::vector<std::future<Response>>> range_futures(3),
       knn_futures(3);
   for (uint32_t q = 0; q < kQueries; ++q) {
     for (uint32_t t = 0; t < 3; ++t) {
       const uint64_t deadline = (q % 3 == 0) ? 500 : 0;
-      range_futures[t].push_back(router.SubmitRange(
-          t, queries[t], q, radii_by_tenant[t], deadline));
-      knn_futures[t].push_back(router.SubmitKnn(t, queries[t], q, 6));
+      Request range =
+          Request::Range(queries[t], q, radii_by_tenant[t], deadline);
+      range_futures[t].push_back(router.Submit(std::move(range).ForTenant(t)));
+      knn_futures[t].push_back(
+          router.Submit(Request::Knn(queries[t], q, 6).ForTenant(t)));
     }
   }
   for (uint32_t t = 0; t < 3; ++t) {
     for (uint32_t q = 0; q < kQueries; ++q) {
-      auto range = range_futures[t][q].get();
+      const serve::RangeResult range = range_futures[t][q].get().range();
       ASSERT_TRUE(range.ok()) << range.status().ToString();
       EXPECT_EQ(range.value(), want_range[t][q]) << "tenant " << t
                                                  << " query " << q;
-      auto knn = knn_futures[t][q].get();
+      const serve::KnnResult knn = knn_futures[t][q].get().knn();
       ASSERT_TRUE(knn.ok());
       ASSERT_EQ(knn.value().size(), want_knn[t][q].size());
       for (size_t i = 0; i < knn.value().size(); ++i) {
@@ -129,15 +132,17 @@ TEST(ServeRouterTest, UnknownTenantAndInvalidSubmissionsFailFast) {
   const Dataset queries = SampleQueries(env.data, 4, 5);
   serve::SessionRouter router({env.index.get()});
 
-  auto unknown = router.SubmitRange(7, queries, 0, 1.0f);
-  EXPECT_EQ(unknown.get().status().code(), StatusCode::kInvalidArgument);
-  auto unknown_write = router.SubmitRebuild(7);
-  EXPECT_EQ(unknown_write.get().code(), StatusCode::kInvalidArgument);
+  auto unknown =
+      router.Submit(Request::Range(queries, 0, 1.0f).ForTenant(7));
+  EXPECT_EQ(unknown.get().range().status().code(),
+            StatusCode::kInvalidArgument);
+  auto unknown_write = router.Submit(Request::Rebuild().ForTenant(7));
+  EXPECT_EQ(unknown_write.get().update().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(router.session(7), nullptr);
   EXPECT_NE(router.session(0), nullptr);
 
-  auto oob = router.SubmitKnn(0, queries, queries.size(), 4);
-  EXPECT_EQ(oob.get().status().code(), StatusCode::kInvalidArgument);
+  auto oob = router.Submit(Request::Knn(queries, queries.size(), 4));
+  EXPECT_EQ(oob.get().knn().status().code(), StatusCode::kInvalidArgument);
 }
 
 // Quota isolation: tenant A saturating its inflight quota and queue must
@@ -165,20 +170,22 @@ TEST(ServeRouterQuota, SaturatingTenantCannotRejectNeighbor) {
     // Tenant B stays within quota by waiting out each read; nothing may
     // be rejected no matter what tenant A does meanwhile.
     for (int i = 0; i < 60; ++i) {
-      auto f = router.SubmitRange(1, qb, i % qb.size(), rb);
-      if (!f.get().ok()) b_failures.fetch_add(1);
+      auto f =
+          router.Submit(Request::Range(qb, i % qb.size(), rb).ForTenant(1));
+      if (!f.get().range().ok()) b_failures.fetch_add(1);
     }
   });
 
   constexpr int kAggressorSubmissions = 3000;
   uint64_t a_completed = 0, a_rejected = 0;
-  std::vector<std::future<Result<std::vector<uint32_t>>>> a_futures;
+  std::vector<std::future<Response>> a_futures;
   a_futures.reserve(kAggressorSubmissions);
   for (int i = 0; i < kAggressorSubmissions; ++i) {
-    a_futures.push_back(router.SubmitRange(0, qa, i % qa.size(), ra));
+    a_futures.push_back(
+        router.Submit(Request::Range(qa, i % qa.size(), ra).ForTenant(0)));
   }
   for (auto& f : a_futures) {
-    auto res = f.get();
+    const serve::RangeResult res = f.get().range();
     if (res.ok()) {
       ++a_completed;
     } else {
@@ -234,16 +241,16 @@ TEST(ServeRouterEdf, TightDeadlineJumpsLooseBacklog) {
     // Pin the dispatcher in a rebuild, queue 8 loose-deadline reads, then
     // one tight-deadline read. All 9 are queued long before the rebuild
     // finishes (a 20k-object reconstruction vs. nine mutex pushes).
-    auto rebuild = session.SubmitRebuild();
-    std::vector<std::future<Result<std::vector<uint32_t>>>> futures;
+    auto rebuild = session.Submit(Request::Rebuild());
+    std::vector<std::future<Response>> futures;
     for (uint32_t i = 0; i < 8; ++i) {
-      futures.push_back(session.SubmitRange(queries, i, r,
-                                            /*deadline_micros=*/30'000'000));
+      futures.push_back(session.Submit(
+          Request::Range(queries, i, r, /*deadline_micros=*/30'000'000)));
     }
-    futures.push_back(
-        session.SubmitRange(queries, 8, r, /*deadline_micros=*/1));
-    EXPECT_TRUE(rebuild.get().ok());
-    for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+    futures.push_back(session.Submit(
+        Request::Range(queries, 8, r, /*deadline_micros=*/1)));
+    EXPECT_TRUE(rebuild.get().update().ok());
+    for (auto& f : futures) EXPECT_TRUE(f.get().range().ok());
     session.Drain();
 
     std::lock_guard<std::mutex> lock(mu);
@@ -287,14 +294,16 @@ TEST(ServeRouterEdf, AgedDeadlineFreeReadOutranksLaterUrgent) {
   };
   serve::QuerySession session(env.index.get(), &exec, opts);
 
-  auto rebuild = session.SubmitRebuild();
-  auto aged = session.SubmitRange(queries, 0, r);  // seq 0, deadline-free
+  auto rebuild = session.Submit(Request::Rebuild());
+  // seq 0, deadline-free.
+  auto aged = session.Submit(Request::Range(queries, 0, r));
   std::this_thread::sleep_for(std::chrono::microseconds(3000));
+  // seq 1, urgent.
   auto urgent =
-      session.SubmitRange(queries, 1, r, /*deadline_micros=*/1);  // seq 1
-  EXPECT_TRUE(rebuild.get().ok());
-  EXPECT_TRUE(aged.get().ok());
-  EXPECT_TRUE(urgent.get().ok());
+      session.Submit(Request::Range(queries, 1, r, /*deadline_micros=*/1));
+  EXPECT_TRUE(rebuild.get().update().ok());
+  EXPECT_TRUE(aged.get().range().ok());
+  EXPECT_TRUE(urgent.get().range().ok());
   session.Drain();
 
   std::lock_guard<std::mutex> lock(mu);
@@ -325,15 +334,16 @@ TEST(ServeRouterTest, ConcurrentMixedTrafficKeepsInvariants) {
       const uint32_t tenant = t % 2;
       for (int i = 0; i < 40; ++i) {
         if (t == 0 && i % 8 == 0) {
-          auto ins = router.SubmitInsert(tenant, a.data,
-                                         static_cast<uint32_t>(i));
-          if (!ins.get().ok()) failures.fetch_add(1);
+          Request insert = Request::Insert(a.data, static_cast<uint32_t>(i));
+          auto ins = router.Submit(std::move(insert).ForTenant(tenant));
+          if (!ins.get().inserted().ok()) failures.fetch_add(1);
           continue;
         }
         const uint64_t deadline = (i % 4 == 0) ? 2000 : 0;
-        auto f = router.SubmitRange(tenant, queries,
-                                    (t + i) % queries.size(), r, deadline);
-        if (!f.get().ok()) failures.fetch_add(1);
+        Request range =
+            Request::Range(queries, (t + i) % queries.size(), r, deadline);
+        auto f = router.Submit(std::move(range).ForTenant(tenant));
+        if (!f.get().range().ok()) failures.fetch_add(1);
       }
     });
   }
@@ -351,9 +361,10 @@ TEST(ServeRouterTest, ConcurrentMixedTrafficKeepsInvariants) {
     GtsIndex* index = tenant == 0 ? a.index.get() : b.index.get();
     auto want = index->RangeQuery(queries, 3, r);
     ASSERT_TRUE(want.ok());
-    auto got = router.SubmitRange(tenant, queries, 3, r).get();
+    Response got =
+        router.Submit(Request::Range(queries, 3, r).ForTenant(tenant)).get();
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), want.value());
+    EXPECT_EQ(got.range().value(), want.value());
   }
 }
 

@@ -23,6 +23,9 @@
 namespace gts {
 namespace {
 
+using serve::Request;
+using serve::Response;
+
 struct Env {
   Dataset data = Dataset::Strings();
   std::unique_ptr<DistanceMetric> metric;
@@ -58,7 +61,8 @@ TEST(ServeSessionDifferential, FuturesMatchBatchPathAcrossSeeds) {
     ASSERT_TRUE(want_range.ok()) << want_range.status().ToString();
     auto want_knn = env.index->KnnQueryBatch(queries, 8);
     ASSERT_TRUE(want_knn.ok());
-    auto want_approx = env.index->KnnQueryBatchApprox(queries, 8, 0.5);
+    auto want_approx = env.index->KnnQueryBatch(
+        queries, 8, nullptr, KnnOptions{.candidate_fraction = 0.5});
     ASSERT_TRUE(want_approx.ok());
 
     serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{4, 0});
@@ -70,20 +74,20 @@ TEST(ServeSessionDifferential, FuturesMatchBatchPathAcrossSeeds) {
       opts.max_wait_micros = 50;
       serve::QuerySession session(env.index.get(), &exec, opts);
 
-      std::vector<std::future<Result<std::vector<uint32_t>>>> range_futures;
-      std::vector<std::future<Result<std::vector<Neighbor>>>> knn_futures;
-      std::vector<std::future<Result<std::vector<Neighbor>>>> approx_futures;
+      std::vector<std::future<Response>> range_futures, knn_futures,
+          approx_futures;
       for (uint32_t q = 0; q < queries.size(); ++q) {
-        range_futures.push_back(session.SubmitRange(queries, q, r));
-        knn_futures.push_back(session.SubmitKnn(queries, q, 8));
-        approx_futures.push_back(session.SubmitKnnApprox(queries, q, 8, 0.5));
+        range_futures.push_back(session.Submit(Request::Range(queries, q, r)));
+        knn_futures.push_back(session.Submit(Request::Knn(queries, q, 8)));
+        approx_futures.push_back(
+            session.Submit(Request::KnnApprox(queries, q, 8, 0.5)));
       }
       for (uint32_t q = 0; q < queries.size(); ++q) {
-        auto range = range_futures[q].get();
+        const serve::RangeResult range = range_futures[q].get().range();
         ASSERT_TRUE(range.ok()) << range.status().ToString();
         EXPECT_EQ(range.value(), want_range.value()[q]) << "query " << q;
 
-        auto knn = knn_futures[q].get();
+        const serve::KnnResult knn = knn_futures[q].get().knn();
         ASSERT_TRUE(knn.ok()) << knn.status().ToString();
         ASSERT_EQ(knn.value().size(), want_knn.value()[q].size());
         for (size_t i = 0; i < knn.value().size(); ++i) {
@@ -93,7 +97,7 @@ TEST(ServeSessionDifferential, FuturesMatchBatchPathAcrossSeeds) {
           EXPECT_EQ(knn.value()[i].dist, want_knn.value()[q][i].dist);
         }
 
-        auto approx = approx_futures[q].get();
+        const serve::KnnResult approx = approx_futures[q].get().knn();
         ASSERT_TRUE(approx.ok());
         ASSERT_EQ(approx.value().size(), want_approx.value()[q].size());
         for (size_t i = 0; i < approx.value().size(); ++i) {
@@ -177,14 +181,15 @@ TEST(ServeSessionAdmission, RejectPolicyFiresUnderOverload) {
 
   // Overload: submit far more than the queue bound as fast as possible.
   constexpr int kSubmissions = 2000;
-  std::vector<std::future<Result<std::vector<uint32_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   futures.reserve(kSubmissions);
   for (int i = 0; i < kSubmissions; ++i) {
-    futures.push_back(session.SubmitRange(queries, i % queries.size(), r));
+    futures.push_back(
+        session.Submit(Request::Range(queries, i % queries.size(), r)));
   }
   uint64_t rejected = 0, completed = 0;
   for (auto& f : futures) {
-    auto res = f.get();
+    const Response res = f.get();
     if (res.ok()) {
       ++completed;
     } else {
@@ -215,10 +220,11 @@ TEST(ServeSessionAdmission, BlockPolicyCompletesEverything) {
   serve::QuerySession session(env.index.get(), &exec, opts);
 
   constexpr int kSubmissions = 300;
-  std::vector<std::future<Result<std::vector<uint32_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   futures.reserve(kSubmissions);
   for (int i = 0; i < kSubmissions; ++i) {
-    futures.push_back(session.SubmitRange(queries, i % queries.size(), r));
+    futures.push_back(
+        session.Submit(Request::Range(queries, i % queries.size(), r)));
   }
   for (auto& f : futures) {
     EXPECT_TRUE(f.get().ok());
@@ -235,18 +241,21 @@ TEST(ServeSessionTest, InvalidSubmissionsFailFast) {
   serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
   serve::QuerySession session(env.index.get(), &exec);
 
-  auto oob = session.SubmitRange(queries, queries.size(), 1.0f);
-  EXPECT_EQ(oob.get().status().code(), StatusCode::kInvalidArgument);
+  auto oob = session.Submit(Request::Range(queries, queries.size(), 1.0f));
+  EXPECT_EQ(oob.get().range().status().code(), StatusCode::kInvalidArgument);
 
   const Dataset wrong_kind = GenerateDataset(DatasetId::kWords, 4, 1);
-  auto incompatible = session.SubmitKnn(wrong_kind, 0, 4);
-  EXPECT_EQ(incompatible.get().status().code(), StatusCode::kInvalidArgument);
+  auto incompatible = session.Submit(Request::Knn(wrong_kind, 0, 4));
+  EXPECT_EQ(incompatible.get().knn().status().code(),
+            StatusCode::kInvalidArgument);
 
-  auto bad_fraction = session.SubmitKnnApprox(queries, 0, 4, 1.5);
-  EXPECT_EQ(bad_fraction.get().status().code(), StatusCode::kInvalidArgument);
+  auto bad_fraction = session.Submit(Request::KnnApprox(queries, 0, 4, 1.5));
+  EXPECT_EQ(bad_fraction.get().knn().status().code(),
+            StatusCode::kInvalidArgument);
 
-  auto bad_insert = session.SubmitInsert(queries, queries.size());
-  EXPECT_EQ(bad_insert.get().status().code(), StatusCode::kInvalidArgument);
+  auto bad_insert = session.Submit(Request::Insert(queries, queries.size()));
+  EXPECT_EQ(bad_insert.get().inserted().status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServeSessionWriters, WritersApplyInOrderAndResolve) {
@@ -255,21 +264,21 @@ TEST(ServeSessionWriters, WritersApplyInOrderAndResolve) {
   serve::QuerySession session(env.index.get(), &exec);
 
   const uint32_t before = env.index->alive_size();
-  auto ins = session.SubmitInsert(env.data, 1);
-  auto ins_res = ins.get();
+  auto ins = session.Submit(Request::Insert(env.data, 1));
+  const serve::InsertResult ins_res = ins.get().inserted();
   ASSERT_TRUE(ins_res.ok()) << ins_res.status().ToString();
-  auto rem = session.SubmitRemove(ins_res.value());
-  EXPECT_TRUE(rem.get().ok());
-  auto rebuild = session.SubmitRebuild();
-  EXPECT_TRUE(rebuild.get().ok());
+  auto rem = session.Submit(Request::Remove(ins_res.value()));
+  EXPECT_TRUE(rem.get().update().ok());
+  auto rebuild = session.Submit(Request::Rebuild());
+  EXPECT_TRUE(rebuild.get().update().ok());
   session.Drain();
   EXPECT_EQ(env.index->alive_size(), before);
   EXPECT_EQ(session.stats().writer_ops, 3u);
 
   // Batch update through the session.
   const Dataset inserts = SampleQueries(env.data, 3, 11);
-  auto batch = session.SubmitBatchUpdate(inserts, {});
-  EXPECT_TRUE(batch.get().ok());
+  auto batch = session.Submit(Request::BatchUpdate(inserts, {}));
+  EXPECT_TRUE(batch.get().update().ok());
   EXPECT_EQ(env.index->alive_size(), before + 3);
 }
 
@@ -300,21 +309,22 @@ TEST(ServeSessionWriters, WriterPromptBehindSaturatingReaders) {
     readers.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kPerReader; ++i) {
-        auto f = session.SubmitRange(queries, (t * kPerReader + i) %
-                                                  queries.size(), r);
-        EXPECT_TRUE(f.get().ok());
+        auto f = session.Submit(Request::Range(
+            queries, (t * kPerReader + i) % queries.size(), r));
+        EXPECT_TRUE(f.get().range().ok());
       }
     });
   }
   go.store(true);
   // Let the readers saturate, then push writers through the stream.
-  std::vector<std::future<Result<uint32_t>>> inserts;
+  std::vector<std::future<Response>> inserts;
   for (int w = 0; w < 6; ++w) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    inserts.push_back(session.SubmitInsert(env.data, w));
+    inserts.push_back(session.Submit(Request::Insert(env.data, w)));
   }
   for (auto& f : inserts) {
-    ASSERT_TRUE(f.get().ok());  // completes while readers still stream
+    // Completes while readers still stream.
+    ASSERT_TRUE(f.get().inserted().ok());
   }
   for (std::thread& th : readers) th.join();
   session.Drain();
@@ -347,12 +357,14 @@ TEST(ServeSessionTest, MixedStreamUnderChurnKeepsInvariants) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 40; ++i) {
         if (t == 0 && i % 5 == 0) {
-          auto ins = session.SubmitInsert(env.data, i % env.data.size());
-          if (!ins.get().ok()) failures.fetch_add(1);
+          auto ins =
+              session.Submit(Request::Insert(env.data, i % env.data.size()));
+          if (!ins.get().inserted().ok()) failures.fetch_add(1);
           continue;
         }
-        auto knn = session.SubmitKnn(queries, (t + i) % queries.size(), 8);
-        auto got = knn.get();
+        auto knn =
+            session.Submit(Request::Knn(queries, (t + i) % queries.size(), 8));
+        const serve::KnnResult got = knn.get().knn();
         if (!got.ok() || got.value().size() != 8) failures.fetch_add(1);
       }
     });
@@ -365,8 +377,8 @@ TEST(ServeSessionTest, MixedStreamUnderChurnKeepsInvariants) {
   auto want = env.index->RangeQueryBatch(queries,
                                          std::vector<float>(queries.size(), r));
   ASSERT_TRUE(want.ok());
-  auto f = session.SubmitRange(queries, 3, r);
-  auto got = f.get();
+  auto f = session.Submit(Request::Range(queries, 3, r));
+  const serve::RangeResult got = f.get().range();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), want.value()[3]);
 }

@@ -65,10 +65,11 @@ Corpus MakeShardedCorpus(DatasetId id, uint32_t n, uint32_t num_shards,
   return c;
 }
 
-std::vector<GtsIndex*> ShardPtrs(const Corpus& c) {
-  std::vector<GtsIndex*> ptrs;
-  for (const auto& s : c.shards) ptrs.push_back(s.get());
-  return ptrs;
+/// The unreplicated frontend layout: each shard its own single replica.
+std::vector<std::vector<GtsIndex*>> OneReplicaLayout(const Corpus& c) {
+  std::vector<std::vector<GtsIndex*>> layout;
+  for (const auto& s : c.shards) layout.push_back({s.get()});
+  return layout;
 }
 
 // The headline byte-identity differential: range hits and exact kNN
@@ -99,7 +100,7 @@ TEST(ServeShardedDifferential, ScatterGatherMatchesSingleIndex) {
         options.session.max_batch = 6;  // several flush cycles per shard
         options.session.max_wait_micros = 50;
         options.executor_threads = 4;
-        serve::ShardedFrontend frontend(ShardPtrs(c), options);
+        serve::ShardedFrontend frontend(OneReplicaLayout(c), options);
 
         std::vector<std::future<Response>> range_futures, knn_futures;
         for (uint32_t q = 0; q < kQueries; ++q) {
@@ -153,7 +154,7 @@ TEST(ServeShardedDifferential, RemovalChurnKeepsEquivalence) {
   const float r = CalibrateRadius(c.data, *c.metric, 0.03, 100, 7);
   const Dataset queries = SampleQueries(c.data, 12, 21);
 
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
 
   // Streaming removes (id-routed) + a removal-only batch update, mirrored
   // on the whole index with the same global ids.
@@ -207,7 +208,7 @@ TEST(ServeShardedTest, HashRoutedInsertRoundTrip) {
   Corpus c = MakeShardedCorpus(DatasetId::kTLoc, 300, kShards, 17);
   const Dataset donors = GenerateDataset(DatasetId::kTLoc, 6, 99);
 
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
   const std::vector<uint32_t> alive_before = [&] {
     std::vector<uint32_t> v;
     for (const auto& s : c.shards) v.push_back(s->alive_size());
@@ -247,7 +248,7 @@ TEST(ServeShardedTest, HashRoutedInsertRoundTrip) {
 TEST(ServeShardedTest, IncompatibleBatchUpdateLeavesNoShardMutated) {
   constexpr uint32_t kShards = 3;
   Corpus c = MakeShardedCorpus(DatasetId::kTLoc, 300, kShards, 29);
-  serve::ShardedFrontend frontend(ShardPtrs(c));
+  serve::ShardedFrontend frontend(OneReplicaLayout(c));
 
   std::vector<uint32_t> alive_before, rebuilds_before;
   for (const auto& s : c.shards) {
@@ -286,7 +287,7 @@ TEST(ServeShardedTest, ConcurrentMixedChurnKeepsInvariants) {
   options.session.max_wait_micros = 100;
   options.session.admission = serve::AdmissionPolicy::kBlock;
   options.executor_threads = 4;
-  serve::ShardedFrontend frontend(ShardPtrs(c), options);
+  serve::ShardedFrontend frontend(OneReplicaLayout(c), options);
 
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> threads;
