@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 
 #include "core/gts.h"
@@ -252,6 +253,18 @@ std::span<const float> GtsIndex::table_dis() const {
   return Current().tree->tl_dis;
 }
 
+Status GtsIndex::CheckQueryCoordinates(const Dataset& queries) {
+  if (queries.kind() != DataKind::kFloatVector) return Status::Ok();
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    for (const float x : queries.Vector(q)) {
+      if (!std::isfinite(x)) {
+        return Status::InvalidArgument("query coordinates must be finite");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 // --- Single-query conveniences --------------------------------------------
 
 Result<std::vector<uint32_t>> GtsIndex::RangeQuery(
@@ -350,6 +363,9 @@ Result<uint32_t> GtsIndex::Insert(const Dataset& src, uint32_t idx) {
   MutexLock lock(&writer_mu_);
   if (!CompatibleData(src)) {
     return Status::InvalidArgument("inserted object incompatible with dataset");
+  }
+  if (idx >= src.size()) {
+    return Status::InvalidArgument("insert index out of range");
   }
   const Version& cur = Current();
   const uint64_t obj_bytes = src.ObjectBytes(idx);

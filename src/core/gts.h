@@ -166,7 +166,8 @@ class GtsIndex {
   // the query nor mutate anything it reads. A query therefore always
   // observes one consistent version of the tree, liveness and cache tables.
   // When `stats_out` is non-null it receives this call's counters; the
-  // aggregate query_stats() is maintained either way (atomically).
+  // aggregate query_stats() is maintained either way (atomically). A batch
+  // holding a query with a NaN or infinite coordinate is kInvalidArgument.
 
   /// Batched metric range query (Algorithm 4). `radii[i]` is the radius of
   /// query object `i` of `queries`. Exact.
@@ -304,7 +305,8 @@ class GtsIndex {
 
   /// Streaming insert: copies object `idx` of `src` into the cache table
   /// (O(1) modeled device cost); rebuilds when the cache budget overflows.
-  /// Returns the new id.
+  /// Returns the new id. An incompatible `src` or an `idx` past its end is
+  /// kInvalidArgument.
   Result<uint32_t> Insert(const Dataset& src, uint32_t idx)
       EXCLUDES(writer_mu_);
 
@@ -623,6 +625,10 @@ class GtsIndex {
   /// concurrent sub-timeline, and copies the counters to `stats_out` when
   /// requested.
   void AccumulateStats(const QueryContext& ctx, GtsQueryStats* stats_out) const;
+  /// kInvalidArgument when a float-vector query has a NaN or infinite
+  /// coordinate: its distances would all be NaN or infinite, so no bound
+  /// would prune anything and the answer would be meaningless.
+  static Status CheckQueryCoordinates(const Dataset& queries);
   float QueryObjectDistance(const Dataset& queries, uint32_t q, uint32_t id,
                             QueryContext* ctx) const {
     ++ctx->stats.distance_computations;

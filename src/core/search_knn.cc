@@ -10,8 +10,11 @@
 // pinned version — lock-free, and unperturbed by concurrent updates.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/gts.h"
 #include "gpu/primitives.h"
@@ -20,6 +23,78 @@ namespace gts {
 
 namespace {
 constexpr float kNoParent = std::numeric_limits<float>::quiet_NaN();
+
+// Hands out the keys of a span in ascending order, one per Next(), and
+// orders only as much of the span as it has handed out: an incremental
+// quicksort (Paredes and Navarro, "Optimal Incremental Sorting", ALENEX
+// 2006). Handing out the m smallest of n keys costs O(n + m log m)
+// expected. Ranges are partitioned around a median-of-three pivot; once
+// partitioning has moved 2 n log2 n keys, which only bad pivots or deep
+// recursion can cost, everything not yet handed out is sorted outright,
+// keeping the worst case at O(n log n).
+class AscendingKeys {
+ public:
+  explicit AscendingKeys(std::span<uint64_t> keys)
+      : keys_(keys),
+        work_left_(2 * keys.size() *
+                   static_cast<size_t>(std::bit_width(keys.size()))) {
+    pivots_.push_back(keys.size());  // sentinel upper end
+  }
+
+  // The smallest key not handed out yet. At most keys.size() calls.
+  uint64_t Next() {
+    while (next_ >= sorted_end_) {
+      // keys_[next_, hi) are unordered and below keys_[hi], if any.
+      const size_t hi = pivots_.back();
+      if (hi == next_) {  // keys_[next_] is a pivot, already in place
+        pivots_.pop_back();
+        break;
+      }
+      if (hi - next_ <= kSortBelow) {
+        std::sort(keys_.begin() + next_, keys_.begin() + hi);
+        sorted_end_ = hi;
+        break;
+      }
+      if (hi - next_ > work_left_) {
+        std::sort(keys_.begin() + next_, keys_.end());
+        sorted_end_ = keys_.size();
+        break;
+      }
+      work_left_ -= hi - next_;
+      pivots_.push_back(Partition(next_, hi));
+    }
+    return keys_[next_++];
+  }
+
+ private:
+  static constexpr size_t kSortBelow = 16;
+
+  // Partitions keys_[lo, hi) around the median of its first, middle and
+  // last key and returns the pivot's final index.
+  size_t Partition(size_t lo, size_t hi) {
+    uint64_t* a = keys_.data();
+    const size_t mid = lo + (hi - lo) / 2;
+    if (a[mid] < a[lo]) std::swap(a[mid], a[lo]);
+    if (a[hi - 1] < a[lo]) std::swap(a[hi - 1], a[lo]);
+    if (a[mid] < a[hi - 1]) std::swap(a[mid], a[hi - 1]);
+    const uint64_t pivot = a[hi - 1];  // a[lo] <= pivot <= a[mid]
+    size_t store = lo;
+    for (size_t i = lo; i + 1 < hi; ++i) {  // branch-free Lomuto
+      const uint64_t v = a[i];
+      a[i] = a[store];
+      a[store] = v;
+      store += v < pivot;
+    }
+    std::swap(a[store], a[hi - 1]);
+    return store;
+  }
+
+  std::span<uint64_t> keys_;
+  std::vector<size_t> pivots_;  // final pivot indices, innermost last
+  size_t next_ = 0;
+  size_t sorted_end_ = 0;  // keys_[next_, sorted_end_) are in final order
+  size_t work_left_;
+};
 }  // namespace
 
 void GtsIndex::KnnState::Offer(uint32_t id, float dist) {
@@ -75,6 +150,7 @@ Result<KnnResults> GtsIndex::KnnQueryBatchOn(
       return Status::InvalidArgument("initial bounds must be non-negative");
     }
   }
+  GTS_RETURN_IF_ERROR(CheckQueryCoordinates(queries));
   QueryContext ctx(*device_, v);
   if (anchor_ns >= 0.0) ctx.start_ns = anchor_ns;
   ctx.candidate_fraction = options.candidate_fraction;
@@ -266,82 +342,80 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
   }
   ctx->stats.objects_verified += seed_scanned;
 
-  // Kernel B1: pivot filter with the seeded bounds; surviving candidates
-  // carry their annulus gap |tl_dis - dq| (a lower bound on the true
-  // distance by Lemma 5.2).
-  struct Candidate {
-    uint32_t query;
-    uint32_t idx;
-    float gap;
-  };
-  std::vector<Candidate> candidates;
+  // Kernels B1 and B2 run one query segment at a time: the frontier is
+  // sorted by query, and a query's top-k depends only on its own
+  // candidates. B1 filters the segment's leaf slots through the stored
+  // pivot column against the seeded bound; a survivor carries its annulus
+  // gap |tl_dis - dq|, a lower bound on its true distance (Lemma 5.2).
+  // B2 verifies the survivors in ascending (gap, slot) order, Algorithm
+  // 5's encode-sort order, so the bound tightens as early as possible. The
+  // table slot breaks gap ties, so ties at the k-th boundary never depend
+  // on how the batch was composed (the sharded executor must be
+  // byte-identical to the single-threaded batch).
+  //
+  // A candidate whose gap exceeds the bound the earlier Offers left is
+  // skipped. The bound only shrinks while the gaps only grow, so once one
+  // candidate is skipped every later one is too: the verified set is a
+  // prefix of the order. The host therefore orders each query's
+  // candidates lazily (AscendingKeys) and stops at the first skip; the
+  // rest is never ordered. The evaluated set, every Offer and every
+  // counter are those of the full sort, and ChargeSort below still
+  // charges the device-wide encode-sort of the modeled kernel.
+  //
+  // A candidate is one 64-bit key, the gap's bits above the slot. Gaps are
+  // non-negative, so their bit order is their value order; a NaN gap (from
+  // a NaN object) orders after +inf instead of breaking the comparison.
+  gpu::KernelDistanceScope scope(&ctx->clock, metric_,
+                                 gpu::KernelDistanceScope::kAutoItems);
+  std::vector<uint64_t> keys;  // reused across query segments
   uint64_t scanned = 0;
-  for (size_t fi = 0; fi < frontier.size(); ++fi) {
-    const Entry& e = frontier[fi];
-    if (seed_entry[e.query] == fi) continue;  // already verified
-    const GtsNode& leaf = ctx->node(e.node);
-    const bool has_parent = e.node != 1;
-    const float bound = (*states)[e.query].Bound();
-    scanned += leaf.size;
-    for (uint32_t j = 0; j < leaf.size; ++j) {
-      const uint32_t idx = leaf.pos + j;
-      const float gap =
-          has_parent ? std::fabs(tl_dis[idx] - e.parent_dq) : 0.0f;
-      if (gap > bound) continue;
-      if (!alive[tl_object[idx]]) continue;
-      candidates.push_back(Candidate{e.query, idx, gap});
+  uint64_t candidates = 0;
+  for (size_t begin = 0, end = 0; begin < frontier.size(); begin = end) {
+    const uint32_t q = frontier[begin].query;
+    assert(begin == 0 || frontier[begin - 1].query < q);  // one segment
+    KnnState& state = (*states)[q];
+    const float bound = state.Bound();
+    keys.clear();
+    for (end = begin; end < frontier.size() && frontier[end].query == q;
+         ++end) {
+      if (seed_entry[q] == end) continue;  // already verified
+      const Entry& e = frontier[end];
+      const GtsNode& leaf = ctx->node(e.node);
+      const bool has_parent = e.node != 1;
+      scanned += leaf.size;
+      for (uint32_t j = 0; j < leaf.size; ++j) {
+        const uint32_t idx = leaf.pos + j;
+        const float gap =
+            has_parent ? std::fabs(tl_dis[idx] - e.parent_dq) : 0.0f;
+        if (gap > bound) continue;
+        if (!alive[tl_object[idx]]) continue;
+        keys.push_back(uint64_t{std::bit_cast<uint32_t>(gap)} << 32 | idx);
+      }
+    }
+    candidates += keys.size();
+
+    // Approximate mode: only the best fraction of the query's candidates
+    // (never fewer than 2k) may be visited; exact mode visits all.
+    size_t budget = keys.size();
+    if (ctx->candidate_fraction < 1.0) {
+      budget = std::min<size_t>(
+          budget,
+          std::max<uint32_t>(state.k * 2,
+                             static_cast<uint32_t>(ctx->candidate_fraction *
+                                                   keys.size())));
+    }
+    AscendingKeys order(keys);
+    for (; budget > 0; --budget) {
+      const uint64_t key = order.Next();
+      const float gap = std::bit_cast<float>(static_cast<uint32_t>(key >> 32));
+      if (gap > state.Bound()) break;
+      const uint32_t id = tl_object[static_cast<uint32_t>(key)];
+      state.Offer(id, QueryObjectDistance(queries, q, id, ctx));
     }
   }
   ctx->clock.ChargeKernel(scanned, scanned * 2);
   ctx->stats.objects_verified += scanned;
-
-  // Algorithm 5's encode-sort: candidates ordered per query by ascending
-  // annulus gap, so verification tightens the bound as early as possible
-  // and skips candidates the shrunken bound disproves.
-  // Table index as the final tie-break: equal-gap candidates must verify in
-  // a deterministic order or ties at the k-th boundary would depend on how
-  // the batch was composed (the sharded executor must be byte-identical to
-  // the single-threaded batch).
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.query != b.query) return a.query < b.query;
-              if (a.gap != b.gap) return a.gap < b.gap;
-              return a.idx < b.idx;
-            });
-  ctx->clock.ChargeSort(candidates.size());
-
-  // Approximate mode: cap each query's verified candidates to the best
-  // fraction (by annulus gap); exact mode (fraction = 1) keeps all.
-  std::vector<uint32_t> budget;
-  if (ctx->candidate_fraction < 1.0) {
-    budget.assign(states->size(), 0);
-    std::vector<uint32_t> totals(states->size(), 0);
-    for (const Candidate& c : candidates) ++totals[c.query];
-    for (size_t q = 0; q < totals.size(); ++q) {
-      const uint32_t k2 = (*states)[q].k * 2;
-      budget[q] = std::max<uint32_t>(
-          k2, static_cast<uint32_t>(ctx->candidate_fraction * totals[q]));
-    }
-  }
-
-  // Kernel B2: exact verification feeding the running top-k. Deliberately
-  // NOT batched: each candidate's gap is re-checked against the bound the
-  // previous Offers just tightened, so whether a distance is evaluated at
-  // all depends on the preceding evaluations. Blocking this loop would
-  // change the evaluated set (and the counters and modeled cost with it);
-  // the bound-interleaved scan is the price of Algorithm 5's early-exit.
-  gpu::KernelDistanceScope scope(&ctx->clock, metric_,
-                                 gpu::KernelDistanceScope::kAutoItems);
-  for (const Candidate& c : candidates) {
-    if (!budget.empty()) {
-      if (budget[c.query] == 0) continue;
-      --budget[c.query];
-    }
-    if (c.gap > (*states)[c.query].Bound()) continue;
-    const uint32_t id = tl_object[c.idx];
-    (*states)[c.query].Offer(
-        id, QueryObjectDistance(queries, c.query, id, ctx));
-  }
+  ctx->clock.ChargeSort(candidates);
 }
 
 void GtsIndex::SearchCacheKnn(const Dataset& queries,

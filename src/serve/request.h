@@ -24,6 +24,8 @@
 #ifndef GTS_SERVE_REQUEST_H_
 #define GTS_SERVE_REQUEST_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
@@ -251,10 +253,12 @@ inline Response ErrorResponse(const Request& request, Status status) {
 
 /// The read-validation predicate of every front end: true when `request`
 /// is a read whose payload carries exactly one query object compatible
-/// with `index`, a non-negative radius or bound_cap, and a candidate
-/// fraction in (0, 1]. The comparisons are phrased so that NaN fails
-/// them. False for updates. Reads only the index's immutable kind/dim, so
-/// it needs no lock or snapshot.
+/// with `index` (with finite coordinates when it is a vector), a
+/// non-negative radius or bound_cap, and a candidate fraction in (0, 1].
+/// The comparisons are phrased so that NaN fails them. False for updates.
+/// Reads only the index's immutable kind/dim, so it needs no lock or
+/// snapshot. It mirrors the batched core calls' own checks: a read that
+/// failed them would fail every read coalesced into the same flush.
 inline bool ValidRead(const Request& request, const GtsIndex& index) {
   const auto* range = std::get_if<RangePayload>(&request.payload);
   const auto* knn = std::get_if<KnnPayload>(&request.payload);
@@ -265,6 +269,9 @@ inline bool ValidRead(const Request& request, const GtsIndex& index) {
   if (approx != nullptr) query = &approx->query;
   return query != nullptr && query->size() == 1 &&
          index.CompatibleData(*query) &&
+         (query->kind() != DataKind::kFloatVector ||
+          std::ranges::all_of(query->Vector(0),
+                              [](float x) { return std::isfinite(x); })) &&
          (range == nullptr || range->radius >= 0.0f) &&
          (knn == nullptr || knn->bound_cap >= 0.0f) &&
          (approx == nullptr || (approx->candidate_fraction > 0.0 &&

@@ -68,6 +68,26 @@ TEST_F(GtsUpdateTest, InsertGoesToCacheAndIsQueryable) {
   EXPECT_FLOAT_EQ(knn.value()[0][0].dist, 0.0f);
 }
 
+// An index past the end of the source dataset is rejected before the
+// device allocation: nothing is read, allocated or published.
+TEST_F(GtsUpdateTest, InsertRejectsIndexPastSource) {
+  Build(300);
+  const Dataset one = GenerateDataset(DatasetId::kTLoc, 1, 999);
+  const uint64_t allocated = device_.allocated_bytes();
+  for (const uint32_t idx : {1u, 1u << 30}) {
+    EXPECT_EQ(index_->Insert(one, idx).status().code(),
+              StatusCode::kInvalidArgument)
+        << "idx " << idx;
+  }
+  EXPECT_EQ(index_->size(), 300u);
+  EXPECT_EQ(index_->alive_size(), 300u);
+  EXPECT_EQ(index_->cache_size(), 0u);
+  EXPECT_EQ(device_.allocated_bytes(), allocated);
+  auto id = index_->Insert(one, 0);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(id.value(), 300u);
+}
+
 TEST_F(GtsUpdateTest, CacheOverflowTriggersRebuild) {
   Build(300, /*cache_bytes=*/10 * sizeof(float) * 2);  // ~10 points
   Dataset extra = GenerateDataset(DatasetId::kTLoc, 40, 999);

@@ -48,6 +48,21 @@ Env MakeIndexedEnv(DatasetId id, uint32_t n, uint64_t seed) {
   return env;
 }
 
+// The round-robin 2-shard partition of env's corpus (shard s holds the
+// corpus ids s, s + 2, ...).
+std::vector<std::unique_ptr<GtsIndex>> RoundRobinShards(const Env& env) {
+  std::vector<std::unique_ptr<GtsIndex>> shards;
+  for (uint32_t s = 0; s < 2; ++s) {
+    std::vector<uint32_t> ids;
+    for (uint32_t g = s; g < env.data.size(); g += 2) ids.push_back(g);
+    auto built = GtsIndex::Build(env.data.Slice(ids), env.metric.get(),
+                                 env.device.get(), GtsOptions{});
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    shards.push_back(std::move(built).value());
+  }
+  return shards;
+}
+
 void ExpectSameNeighbors(const std::vector<Neighbor>& got,
                          const std::vector<Neighbor>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -229,17 +244,9 @@ TEST(ServeRequestTest, BadRadiusRejectedBeforeAdmission) {
               StatusCode::kInvalidArgument);
   }
 
-  // The round-robin 2-shard partition of the same corpus: global ids
-  // coincide with corpus ids, so the frontend's answer equals `want`.
-  std::vector<std::unique_ptr<GtsIndex>> shards;
-  for (uint32_t s = 0; s < 2; ++s) {
-    std::vector<uint32_t> ids;
-    for (uint32_t g = s; g < env.data.size(); g += 2) ids.push_back(g);
-    auto built = GtsIndex::Build(env.data.Slice(ids), env.metric.get(),
-                                 env.device.get(), GtsOptions{});
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    shards.push_back(std::move(built).value());
-  }
+  // Global ids of the round-robin shards coincide with corpus ids, so the
+  // frontend's answer equals `want`.
+  const auto shards = RoundRobinShards(env);
   // shard_size 64: the session's flush runs its whole range group as ONE
   // batched call, so a bad radius let through would fail the valid read.
   serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 64});
@@ -277,6 +284,85 @@ TEST(ServeRequestTest, BadRadiusRejectedBeforeAdmission) {
   const serve::SessionStats stats = session.stats();
   EXPECT_EQ(stats.rejected, 3u);
   EXPECT_EQ(stats.submitted, 1u);
+}
+
+// The coordinate twin of BadRadiusRejectedBeforeAdmission: a float-vector
+// query with a NaN or infinite coordinate would evaluate the whole index
+// (no bound prunes against NaN) and answer with NaN distances. The batched
+// core calls reject it with kInvalidArgument, and the session and the
+// sharded frontend reject it before admission, so valid range and kNN
+// reads coalesced into the same flush still get their exact answers.
+TEST(ServeRequestTest, NonFiniteQueryRejectedBeforeAdmission) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 600, 52);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.02, 100, 7);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Query 1 is valid; 0, 2 and 3 each carry one non-finite coordinate.
+  Dataset queries = Dataset::FloatVectors(2);
+  queries.AppendVector(std::vector<float>{nan, 0.5f});
+  queries.AppendFrom(SampleQueries(env.data, 1, 9), 0);
+  queries.AppendVector(std::vector<float>{inf, 0.5f});
+  queries.AppendVector(std::vector<float>{0.5f, -inf});
+  auto want_range = env.index->RangeQuery(queries, 1, r);
+  auto want_knn = env.index->KnnQuery(queries, 1, 4);
+  ASSERT_TRUE(want_range.ok());
+  ASSERT_TRUE(want_knn.ok());
+  ASSERT_FALSE(want_range.value().empty());
+
+  const std::vector<float> radii(queries.size(), r);
+  EXPECT_EQ(env.index->RangeQueryBatch(queries, radii).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.index->KnnQueryBatch(queries, 4).status().code(),
+            StatusCode::kInvalidArgument);
+  for (const uint32_t bad : {0u, 2u, 3u}) {
+    EXPECT_EQ(env.index->RangeQuery(queries, bad, r).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(env.index->KnnQuery(queries, bad, 4).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  const auto shards = RoundRobinShards(env);
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 64});
+  serve::QuerySession session(env.index.get(), &exec);
+  serve::ShardedFrontend frontend({{shards[0].get()}, {shards[1].get()}});
+
+  const auto group = [&] {
+    std::vector<Request> requests;
+    requests.push_back(Request::Range(queries, 0, r));
+    requests.push_back(Request::Range(queries, 1, r));
+    requests.push_back(Request::Knn(queries, 2, 4));
+    requests.push_back(Request::Knn(queries, 1, 4));
+    requests.push_back(Request::KnnApprox(queries, 3, 4, 0.5));
+    return requests;
+  };
+  std::vector<std::vector<std::future<Response>>> runs;
+  runs.push_back(session.SubmitBatch(group()));
+  runs.push_back(frontend.SubmitBatch(group()));
+  for (auto& futures : runs) {
+    EXPECT_EQ(futures[0].get().range().status().code(),
+              StatusCode::kInvalidArgument);
+    const serve::RangeResult range = futures[1].get().range();
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_EQ(range.value(), want_range.value());
+    EXPECT_EQ(futures[2].get().knn().status().code(),
+              StatusCode::kInvalidArgument);
+    const serve::KnnResult knn = futures[3].get().knn();
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ExpectSameNeighbors(knn.value(), want_knn.value());
+    EXPECT_EQ(futures[4].get().knn().status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(
+      session.Submit(Request::Knn(queries, 0, 4)).get().status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      frontend.Submit(Request::Knn(queries, 0, 4)).get().status().code(),
+      StatusCode::kInvalidArgument);
+
+  session.Drain();
+  const serve::SessionStats stats = session.stats();
+  EXPECT_EQ(stats.rejected, 4u);
+  EXPECT_EQ(stats.submitted, 2u);
 }
 
 // Routed unified submissions must match the per-tenant direct answers —

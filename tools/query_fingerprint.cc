@@ -2,7 +2,11 @@
 // matrix. Builds an index per paper dataset family, runs batched kNN and
 // range queries, and folds every observable — result ids, distance float
 // bits, query-stat counters, metric work counters — into one FNV-1a hash
-// per dataset plus a combined digest.
+// per dataset. A further `knn-20k` line covers the kNN leaf verifier at
+// scale: a tombstoned T-Loc index whose device budget splits each batch
+// into several query groups, queried in exact, approximate, bounded and
+// large-k mode, with the modeled device clock folded in. A combined digest
+// closes the report.
 //
 // Two modes:
 //   query_fingerprint               print one `<dataset> <hex>` line per
@@ -26,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -57,6 +62,27 @@ void FoldPod(uint64_t* h, const T& v) {
   Fold(h, &v, sizeof(v));
 }
 
+void FoldNeighbors(uint64_t* h, const KnnResults& results) {
+  for (const auto& res : results) {
+    FoldPod(h, static_cast<uint64_t>(res.size()));
+    for (const Neighbor& nb : res) {
+      FoldPod(h, nb.id);
+      FoldPod(h, nb.dist);  // float BITS: equality is bitwise, not approx
+    }
+  }
+}
+
+// The evaluated distance set — and so every work counter — is part of the
+// contract: a tier that skipped or reordered evaluations would change
+// these even if the returned results happened to match.
+void FoldStats(uint64_t* h, const GtsQueryStats& s) {
+  FoldPod(h, s.distance_computations);
+  FoldPod(h, s.nodes_visited);
+  FoldPod(h, s.objects_verified);
+  FoldPod(h, s.query_groups);
+  FoldPod(h, s.nodes_pruned);
+}
+
 // Fingerprint of one dataset family's full query workload (mirrors the
 // TierEquivalenceTest workload so a CI mismatch reproduces under gtest).
 uint64_t FingerprintDataset(DatasetId id) {
@@ -81,13 +107,7 @@ uint64_t FingerprintDataset(DatasetId id) {
   GtsQueryStats knn_stats;
   auto knn = index.KnnQueryBatch(queries, 5, &knn_stats);
   if (!knn.ok()) std::exit(2);
-  for (const auto& res : knn.value()) {
-    FoldPod(&h, static_cast<uint64_t>(res.size()));
-    for (const Neighbor& nb : res) {
-      FoldPod(&h, nb.id);
-      FoldPod(&h, nb.dist);  // float BITS: equality is bitwise, not approx
-    }
-  }
+  FoldNeighbors(&h, knn.value());
 
   const float radius = id == DatasetId::kDna     ? 18.0f
                        : id == DatasetId::kWords ? 4.0f
@@ -101,24 +121,78 @@ uint64_t FingerprintDataset(DatasetId id) {
     for (const uint32_t oid : ids) FoldPod(&h, oid);
   }
 
-  // The evaluated distance set — and so every work counter — is part of
-  // the contract: a tier that skipped or reordered evaluations would
-  // change these even if the returned results happened to match.
-  for (const GtsQueryStats* s : {&knn_stats, &range_stats}) {
-    FoldPod(&h, s->distance_computations);
-    FoldPod(&h, s->nodes_visited);
-    FoldPod(&h, s->objects_verified);
-    FoldPod(&h, s->query_groups);
-    FoldPod(&h, s->nodes_pruned);
-  }
+  FoldStats(&h, knn_stats);
+  FoldStats(&h, range_stats);
   const DistanceStats ms = metric->stats();
   FoldPod(&h, ms.calls);
   FoldPod(&h, ms.ops);
   return h;
 }
 
+// Fingerprint of the kNN leaf verifier on T-Loc 20k with every 7th object
+// tombstoned (the leaves keep them; 1/7 stays under the rebuild
+// threshold). The 4 MB device budget splits the 128-query batch into
+// several query groups. Folds exact kNN, candidate_fraction 0.5 and 0.2,
+// initial bounds (+inf for even queries, the exact k-th distance for odd
+// ones), k = 50, and finally the bits of the device clock every call
+// charged.
+uint64_t FingerprintKnnVerifier() {
+  constexpr uint32_t kK = 8;
+  Dataset data = GenerateDataset(DatasetId::kTLoc, 20000, 23);
+  const Dataset queries = SampleQueries(data, 128, 31);
+  auto metric = MakeDatasetMetric(DatasetId::kTLoc);
+  gpu::DeviceOptions device_options;
+  device_options.memory_bytes = 4ull << 20;
+  gpu::Device device(device_options);
+  GtsOptions options;
+  options.node_capacity = 10;
+  auto built = GtsIndex::Build(std::move(data), metric.get(), &device, options);
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n",
+                 built.status().ToString().c_str());
+    std::exit(2);
+  }
+  GtsIndex& index = *built.value();
+  for (uint32_t id = 0; id < index.size(); id += 7) {
+    if (!index.Remove(id).ok()) std::exit(2);
+  }
+
+  uint64_t h = kFnvOffset;
+  const auto run = [&](uint32_t k, const KnnOptions& knn_options) {
+    GtsQueryStats stats;
+    auto res = index.KnnQueryBatch(queries, k, &stats, knn_options);
+    if (!res.ok()) std::exit(2);
+    if (stats.query_groups < 2) {
+      std::fprintf(stderr, "knn-20k: batch ran as one query group\n");
+      std::exit(2);
+    }
+    FoldNeighbors(&h, res.value());
+    FoldStats(&h, stats);
+    return std::move(res).value();
+  };
+  const KnnResults exact = run(kK, {});
+  for (const double fraction : {0.5, 0.2}) {
+    KnnOptions approx;
+    approx.candidate_fraction = fraction;
+    run(kK, approx);
+  }
+  std::vector<float> bounds;
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    bounds.push_back(q % 2 == 1 && exact[q].size() == kK
+                         ? exact[q].back().dist
+                         : std::numeric_limits<float>::infinity());
+  }
+  KnnOptions bounded;
+  bounded.initial_bounds = bounds;
+  run(kK, bounded);
+  run(50, {});
+  FoldPod(&h, device.clock().ElapsedNs());
+  return h;
+}
+
 struct Report {
   std::vector<uint64_t> per_dataset;
+  uint64_t knn_verifier = 0;
   uint64_t combined = kFnvOffset;
 };
 
@@ -129,6 +203,8 @@ Report RunAll() {
     r.per_dataset.push_back(h);
     FoldPod(&r.combined, h);
   }
+  r.knn_verifier = FingerprintKnnVerifier();
+  FoldPod(&r.combined, r.knn_verifier);
   return r;
 }
 
@@ -139,6 +215,7 @@ void Print(const Report& r, const char* tier) {
     std::printf("%-8s %016" PRIx64 "\n", GetDatasetSpec(id).name,
                 r.per_dataset[i++]);
   }
+  std::printf("%-8s %016" PRIx64 "\n", "knn-20k", r.knn_verifier);
   std::printf("combined %016" PRIx64 "\n", r.combined);
 }
 
