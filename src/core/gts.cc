@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 #include "core/gts.h"
@@ -50,6 +49,7 @@ Result<std::unique_ptr<GtsIndex>> GtsIndex::Build(Dataset data,
   if (options.node_capacity < 2) {
     return Status::InvalidArgument("node_capacity must be >= 2");
   }
+  GTS_RETURN_IF_ERROR(CheckFinite(data, 0, data.size()));
   std::unique_ptr<GtsIndex> index(
       new GtsIndex(metric, device, options, data.kind(), data.dim()));
 
@@ -253,14 +253,9 @@ std::span<const float> GtsIndex::table_dis() const {
   return Current().tree->tl_dis;
 }
 
-Status GtsIndex::CheckQueryCoordinates(const Dataset& queries) {
-  if (queries.kind() != DataKind::kFloatVector) return Status::Ok();
-  for (uint32_t q = 0; q < queries.size(); ++q) {
-    for (const float x : queries.Vector(q)) {
-      if (!std::isfinite(x)) {
-        return Status::InvalidArgument("query coordinates must be finite");
-      }
-    }
+Status GtsIndex::CheckFinite(const Dataset& d, uint32_t begin, uint32_t end) {
+  if (!d.AllFinite(begin, end)) {
+    return Status::InvalidArgument("object coordinates must be finite");
   }
   return Status::Ok();
 }
@@ -367,6 +362,7 @@ Result<uint32_t> GtsIndex::Insert(const Dataset& src, uint32_t idx) {
   if (idx >= src.size()) {
     return Status::InvalidArgument("insert index out of range");
   }
+  GTS_RETURN_IF_ERROR(CheckFinite(src, idx, idx + 1));
   const Version& cur = Current();
   const uint64_t obj_bytes = src.ObjectBytes(idx);
   GTS_RETURN_IF_ERROR(device_->Allocate(obj_bytes, "GTS cache insert"));
@@ -465,6 +461,7 @@ Status GtsIndex::BatchUpdate(const Dataset& inserts,
   if (!inserts.empty() && !CompatibleData(inserts)) {
     return Status::InvalidArgument("inserted objects incompatible with dataset");
   }
+  GTS_RETURN_IF_ERROR(CheckFinite(inserts, 0, inserts.size()));
   const Version& cur = Current();
   auto data = std::make_shared<Dataset>(*cur.data);
   auto live = std::make_shared<Liveness>(*cur.live);

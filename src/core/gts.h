@@ -144,7 +144,8 @@ class GtsIndex {
  public:
   /// Builds the index over `data` (the index takes ownership; updates
   /// publish grown copies as new versions). `metric` and `device` must
-  /// outlive the index.
+  /// outlive the index. An object with a NaN or infinite coordinate is
+  /// kInvalidArgument, as it is for Insert and BatchUpdate.
   static Result<std::unique_ptr<GtsIndex>> Build(Dataset data,
                                                  const DistanceMetric* metric,
                                                  gpu::Device* device,
@@ -305,8 +306,8 @@ class GtsIndex {
 
   /// Streaming insert: copies object `idx` of `src` into the cache table
   /// (O(1) modeled device cost); rebuilds when the cache budget overflows.
-  /// Returns the new id. An incompatible `src` or an `idx` past its end is
-  /// kInvalidArgument.
+  /// Returns the new id. An incompatible `src`, an `idx` past its end or an
+  /// object with a NaN or infinite coordinate is kInvalidArgument.
   Result<uint32_t> Insert(const Dataset& src, uint32_t idx)
       EXCLUDES(writer_mu_);
 
@@ -625,10 +626,12 @@ class GtsIndex {
   /// concurrent sub-timeline, and copies the counters to `stats_out` when
   /// requested.
   void AccumulateStats(const QueryContext& ctx, GtsQueryStats* stats_out) const;
-  /// kInvalidArgument when a float-vector query has a NaN or infinite
-  /// coordinate: its distances would all be NaN or infinite, so no bound
-  /// would prune anything and the answer would be meaningless.
-  static Status CheckQueryCoordinates(const Dataset& queries);
+  /// kInvalidArgument unless objects [begin, end) of `d` pass
+  /// Dataset::AllFinite. A NaN or infinite coordinate makes every distance
+  /// to the object NaN or infinite: as a query no bound would prune
+  /// anything and the answer would be meaningless, and as an indexed object
+  /// it would surface, at distance NaN, in exact answers.
+  static Status CheckFinite(const Dataset& d, uint32_t begin, uint32_t end);
   float QueryObjectDistance(const Dataset& queries, uint32_t q, uint32_t id,
                             QueryContext* ctx) const {
     ++ctx->stats.distance_computations;

@@ -150,7 +150,7 @@ Result<KnnResults> GtsIndex::KnnQueryBatchOn(
       return Status::InvalidArgument("initial bounds must be non-negative");
     }
   }
-  GTS_RETURN_IF_ERROR(CheckQueryCoordinates(queries));
+  GTS_RETURN_IF_ERROR(CheckFinite(queries, 0, queries.size()));
   QueryContext ctx(*device_, v);
   if (anchor_ns >= 0.0) ctx.start_ns = anchor_ns;
   ctx.candidate_fraction = options.candidate_fraction;

@@ -81,7 +81,7 @@ Result<RangeResults> GtsIndex::RangeQueryBatchOn(
   if (!queries.CompatibleWith(*v.data)) {
     return Status::InvalidArgument("query objects incompatible with dataset");
   }
-  GTS_RETURN_IF_ERROR(CheckQueryCoordinates(queries));
+  GTS_RETURN_IF_ERROR(CheckFinite(queries, 0, queries.size()));
   QueryContext ctx(*device_, v);
   if (anchor_ns >= 0.0) ctx.start_ns = anchor_ns;
   RangeResults out(queries.size());

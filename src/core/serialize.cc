@@ -8,41 +8,19 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/binary_io.h"
 #include "core/gts.h"
 
 namespace gts {
 
 namespace {
 
+using binary_io::ReadPod;
+using binary_io::ReadVec;
+using binary_io::WritePod;
+using binary_io::WriteVec;
+
 constexpr char kMagic[8] = {'G', 'T', 'S', 'I', 'D', 'X', '0', '1'};
-
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (!ReadPod(in, &n)) return false;
-  v->resize(n);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return static_cast<bool>(in);
-}
 
 }  // namespace
 
@@ -141,6 +119,12 @@ Result<std::unique_ptr<GtsIndex>> GtsIndex::Load(const std::string& path,
   }
   for (const uint32_t id : tree->tl_object) {
     if (id >= n) return Status::InvalidArgument("table list id out of range");
+  }
+  // The covering ball below reads the root's pivot.
+  for (const GtsNode& node : tree->node_list) {
+    if (node.pivot != kInvalidId && node.pivot >= n) {
+      return Status::InvalidArgument("node pivot out of range");
+    }
   }
   auto cache = std::make_shared<CacheList>();
   for (const uint32_t id : cache_ids) {

@@ -1,40 +1,21 @@
 #include "metric/dataset.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <istream>
 #include <ostream>
+
+#include "common/binary_io.h"
 
 namespace gts {
 
 namespace {
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (!ReadPod(in, &n)) return false;
-  v->resize(n);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return static_cast<bool>(in);
-}
+using binary_io::ReadPod;
+using binary_io::ReadVec;
+using binary_io::WritePod;
+using binary_io::WriteVec;
 
 }  // namespace
 
@@ -98,6 +79,14 @@ std::string_view Dataset::String(uint32_t i) const {
                           offsets_[i + 1] - offsets_[i]);
 }
 
+bool Dataset::AllFinite(uint32_t begin, uint32_t end) const {
+  assert(begin <= end && end <= size_);
+  if (kind_ != DataKind::kFloatVector) return true;
+  return std::all_of(flat_.begin() + size_t{begin} * dim_,
+                     flat_.begin() + size_t{end} * dim_,
+                     [](float x) { return std::isfinite(x); });
+}
+
 uint64_t Dataset::ObjectBytes(uint32_t i) const {
   if (kind_ == DataKind::kFloatVector) return uint64_t{dim_} * sizeof(float);
   return offsets_[i + 1] - offsets_[i];
@@ -116,8 +105,7 @@ void Dataset::Serialize(std::ostream& out) const {
   WritePod(out, size_);
   WriteVec(out, flat_);
   WriteVec(out, offsets_);
-  WritePod(out, static_cast<uint64_t>(chars_.size()));
-  out.write(chars_.data(), static_cast<std::streamsize>(chars_.size()));
+  WriteVec(out, chars_);
 }
 
 Result<Dataset> Dataset::Deserialize(std::istream& in) {
@@ -128,14 +116,10 @@ Result<Dataset> Dataset::Deserialize(std::istream& in) {
   }
   Dataset d(static_cast<DataKind>(kind_raw), dim);
   d.size_ = size;
-  uint64_t chars_len = 0;
   if (!ReadVec(in, &d.flat_) || !ReadVec(in, &d.offsets_) ||
-      !ReadPod(in, &chars_len)) {
-    return Status::InvalidArgument("corrupt dataset payload");
+      !ReadVec(in, &d.chars_)) {
+    return Status::InvalidArgument("corrupt or truncated dataset payload");
   }
-  d.chars_.resize(chars_len);
-  in.read(d.chars_.data(), static_cast<std::streamsize>(chars_len));
-  if (!in) return Status::InvalidArgument("truncated dataset payload");
   // Structural validation.
   if (d.kind_ == DataKind::kFloatVector) {
     if (d.flat_.size() != uint64_t{d.size_} * d.dim_) {

@@ -49,6 +49,11 @@ class Dataset {
   std::span<const float> Vector(uint32_t i) const;
   std::string_view String(uint32_t i) const;
 
+  /// True when objects [begin, end) have no NaN or infinite coordinate
+  /// (always true for strings). The index and the serving plane reject
+  /// objects failing it on every read and write path.
+  bool AllFinite(uint32_t begin, uint32_t end) const;
+
   /// Storage footprint of one object / of the whole payload, in bytes.
   /// Used by the device-memory accounting.
   uint64_t ObjectBytes(uint32_t i) const;

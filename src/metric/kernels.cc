@@ -226,35 +226,6 @@ void ScoreBlockFloat(MetricKind kind, simd::Tier tier, const float* q,
   }
 }
 
-void ScoreIds(MetricKind kind, simd::Tier tier, const Dataset& qd, uint32_t qi,
-              const Dataset& objects, std::span<const uint32_t> ids,
-              float* out) {
-  if (ids.empty()) return;
-  if (kind == MetricKind::kEdit) {
-    const std::string_view query = qd.String(qi);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      out[i] = static_cast<float>(
-          EditDistance(tier, query, objects.String(ids[i])));
-    }
-    return;
-  }
-  const FloatGatherFn fn = FloatGatherKernel(kind, tier);
-  const float* q = qd.Vector(qi).data();
-  const uint32_t dim = objects.dim();
-  const float* rows[SoaPack::kLane];
-  size_t done = 0;
-  while (done < ids.size()) {
-    const uint32_t n = static_cast<uint32_t>(
-        std::min<size_t>(SoaPack::kLane, ids.size() - done));
-    for (uint32_t l = 0; l < n; ++l) {
-      rows[l] = objects.Vector(ids[done + l]).data();
-    }
-    for (uint32_t l = n; l < SoaPack::kLane; ++l) rows[l] = rows[n - 1];
-    fn(q, rows, dim, n, out + done);
-    done += n;
-  }
-}
-
 // --- Edit distance ----------------------------------------------------------
 
 uint32_t EditDistanceDp(std::string_view a, std::string_view b) {
@@ -309,6 +280,70 @@ int AdvanceMyersBlock(uint64_t* pv, uint64_t* mv, uint64_t eq, int hin,
   *mv = ph & xv;
   return hout;
 }
+
+constexpr size_t kWordBits = 64;
+
+// Pattern-character masks for the single-word kernel. All-zero outside a
+// PatternMasks' lifetime, so a pattern costs O(m) to set and clear instead
+// of a 256-word wipe.
+thread_local uint64_t tls_peq[256];
+#ifndef NDEBUG
+thread_local bool tls_peq_live = false;
+#endif
+
+/// Single-word Myers (Hyyrö's formulation) for a pattern of at most 64
+/// bytes against texts of any length: one word step per text byte. Sets the
+/// pattern's entries of `tls_peq` on construction and clears exactly those
+/// on destruction; at most one may be live per thread.
+class PatternMasks {
+ public:
+  explicit PatternMasks(std::string_view pattern)
+      : peq_(tls_peq), pattern_(pattern) {
+    assert(pattern.size() <= kWordBits);
+#ifndef NDEBUG
+    assert(!tls_peq_live && "nested PatternMasks would share tls_peq");
+    tls_peq_live = true;
+#endif
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      peq_[static_cast<uint8_t>(pattern[i])] |= 1ull << i;
+    }
+  }
+  ~PatternMasks() {
+    for (const char c : pattern_) peq_[static_cast<uint8_t>(c)] = 0;
+#ifndef NDEBUG
+    tls_peq_live = false;
+#endif
+  }
+  PatternMasks(const PatternMasks&) = delete;
+  PatternMasks& operator=(const PatternMasks&) = delete;
+
+  uint32_t Distance(std::string_view text) const {
+    const size_t m = pattern_.size();
+    if (m == 0) return static_cast<uint32_t>(text.size());
+    const uint64_t top = 1ull << (m - 1);
+    uint64_t pv = ~0ull;
+    uint64_t mv = 0;
+    uint32_t score = static_cast<uint32_t>(m);
+    for (const char c : text) {
+      const uint64_t eq = peq_[static_cast<uint8_t>(c)];
+      const uint64_t xv = eq | mv;
+      const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+      const uint64_t ph = mv | ~(xh | pv);
+      const uint64_t mh = pv & xh;
+      // ph and mh are disjoint: the score moves by at most one.
+      score += static_cast<uint32_t>((ph & top) != 0);
+      score -= static_cast<uint32_t>((mh & top) != 0);
+      const uint64_t ph1 = (ph << 1) | 1;  // row 0 grows by one per byte
+      pv = (mh << 1) | ~(xv | ph1);
+      mv = ph1 & xv;
+    }
+    return score;
+  }
+
+ private:
+  uint64_t* peq_;
+  std::string_view pattern_;
+};
 
 }  // namespace
 
@@ -388,13 +423,49 @@ uint32_t EditDistanceBanded(std::string_view a, std::string_view b,
 uint32_t EditDistance(simd::Tier tier, std::string_view a,
                       std::string_view b) {
   if (tier == simd::Tier::kScalar) return EditDistanceDp(a, b);
-  // Myers pays a fixed alphabet-table setup of 256 mask words per pair;
-  // below this DP area the two-row loop finishes before that table is even
-  // cleared (word-length strings sit far above it, dictionary words below).
-  // Both kernels are exact, so the crossover is invisible in the results.
-  constexpr size_t kMyersCutoverCells = 2048;
-  if (a.size() * b.size() < kMyersCutoverCells) return EditDistanceDp(a, b);
-  return EditDistanceMyers(a, b);
+  if (a.size() > b.size()) std::swap(a, b);  // a (the pattern) is the shorter
+  if (a.size() > kWordBits) return EditDistanceMyers(a, b);
+  return PatternMasks(a).Distance(b);
+}
+
+// --- Gather entry (float lanes and edit distance) ---------------------------
+
+void ScoreIds(MetricKind kind, simd::Tier tier, const Dataset& qd, uint32_t qi,
+              const Dataset& objects, std::span<const uint32_t> ids,
+              float* out) {
+  if (ids.empty()) return;
+  if (kind == MetricKind::kEdit) {
+    const std::string_view query = qd.String(qi);
+    if (tier == simd::Tier::kScalar || query.size() > kWordBits) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        out[i] = static_cast<float>(
+            EditDistance(tier, query, objects.String(ids[i])));
+      }
+      return;
+    }
+    // Edit distance is symmetric, so a query of at most 64 bytes is the
+    // pattern for every object: its masks are set once for the whole call.
+    const PatternMasks masks(query);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      out[i] = static_cast<float>(masks.Distance(objects.String(ids[i])));
+    }
+    return;
+  }
+  const FloatGatherFn fn = FloatGatherKernel(kind, tier);
+  const float* q = qd.Vector(qi).data();
+  const uint32_t dim = objects.dim();
+  const float* rows[SoaPack::kLane];
+  size_t done = 0;
+  while (done < ids.size()) {
+    const uint32_t n = static_cast<uint32_t>(
+        std::min<size_t>(SoaPack::kLane, ids.size() - done));
+    for (uint32_t l = 0; l < n; ++l) {
+      rows[l] = objects.Vector(ids[done + l]).data();
+    }
+    for (uint32_t l = n; l < SoaPack::kLane; ++l) rows[l] = rows[n - 1];
+    fn(q, rows, dim, n, out + done);
+    done += n;
+  }
 }
 
 }  // namespace gts::kernels

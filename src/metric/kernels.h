@@ -51,7 +51,9 @@ void ScoreBlockFloat(MetricKind kind, simd::Tier tier, const float* q,
 
 /// Scores query object `qi` of `qd` against objects `ids` of `objects`.
 /// Float datasets run the gather lane kernels; string datasets run the
-/// dispatched edit kernel per pair.
+/// dispatched edit kernel, except that off the scalar tier a query of at
+/// most 64 bytes is the single-word Myers pattern for every id, its masks
+/// built once per call.
 void ScoreIds(MetricKind kind, simd::Tier tier, const Dataset& qd, uint32_t qi,
               const Dataset& objects, std::span<const uint32_t> ids,
               float* out);
@@ -73,10 +75,11 @@ uint32_t EditDistanceMyers(std::string_view a, std::string_view b);
 uint32_t EditDistanceBanded(std::string_view a, std::string_view b,
                             uint32_t bound);
 
-/// Dispatched edit distance: the scalar tier runs the DP reference; wider
-/// tiers run the bit-parallel kernel once the DP area outgrows Myers'
-/// fixed alphabet-table setup (short pairs stay on the DP). Always exact,
-/// on every tier.
+/// Dispatched edit distance: the scalar tier runs the DP reference; the
+/// other tiers run single-word Myers (the shorter string as the pattern,
+/// its masks built per pair) when the shorter string is at most 64 bytes,
+/// and the blocked EditDistanceMyers otherwise. Always exact, on every
+/// tier.
 uint32_t EditDistance(simd::Tier tier, std::string_view a, std::string_view b);
 
 namespace detail {

@@ -24,8 +24,6 @@
 #ifndef GTS_SERVE_REQUEST_H_
 #define GTS_SERVE_REQUEST_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
@@ -268,10 +266,7 @@ inline bool ValidRead(const Request& request, const GtsIndex& index) {
   if (knn != nullptr) query = &knn->query;
   if (approx != nullptr) query = &approx->query;
   return query != nullptr && query->size() == 1 &&
-         index.CompatibleData(*query) &&
-         (query->kind() != DataKind::kFloatVector ||
-          std::ranges::all_of(query->Vector(0),
-                              [](float x) { return std::isfinite(x); })) &&
+         index.CompatibleData(*query) && query->AllFinite(0, 1) &&
          (range == nullptr || range->radius >= 0.0f) &&
          (knn == nullptr || knn->bound_cap >= 0.0f) &&
          (approx == nullptr || (approx->candidate_fraction > 0.0 &&

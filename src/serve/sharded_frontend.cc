@@ -823,10 +823,10 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
   }
   if (const auto* batch = std::get_if<BatchUpdatePayload>(&request.payload)) {
     // Pre-validate the inserts against every shard BEFORE scattering: a
-    // single index rejects an incompatible batch before mutating
-    // anything (the compat check is GtsIndex::BatchUpdate's only
-    // pre-mutation validation), and the scatter must not let some
-    // shards apply their sub-updates while another shard rejects.
+    // single index rejects an incompatible batch, or one holding a NaN or
+    // infinite coordinate, before mutating anything (GtsIndex::BatchUpdate's
+    // only pre-mutation checks), and the scatter must not let some shards
+    // apply their sub-updates while another shard rejects.
     // Mid-update failures (a shard's memory budget, say) remain
     // per-shard — sharded atomicity without a 2PC is best-effort, and
     // the header says so. The primary replica stands in for the shard
@@ -838,6 +838,11 @@ std::future<Response> ShardedFrontend::SubmitUpdate(Request request) {
             request, Status::InvalidArgument(
                          "inserted objects incompatible with dataset")));
       }
+    }
+    if (!batch->inserts.AllFinite(0, batch->inserts.size())) {
+      return ResolvedFuture(ErrorResponse(
+          request,
+          Status::InvalidArgument("object coordinates must be finite")));
     }
     // Partition removals by id route and inserts by content hash, then
     // fan one BatchUpdate per shard — every shard reconstructs, matching

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 
 #include "core/gts.h"
 #include "data/generators.h"
@@ -140,6 +142,44 @@ TEST_F(GtsSerializeTest, RejectsGarbageAndTruncation) {
     out.write(contents.data(), contents.size() / 2);
   }
   EXPECT_FALSE(GtsIndex::Load(path_, metric.get(), &device_).ok());
+}
+
+// A length field is never trusted: 2^44 written over each 4-byte offset of
+// a saved index in turn (which hits every length field) must make Load
+// return, with the index or a Status, instead of attempting a 2^44-element
+// allocation.
+TEST_F(GtsSerializeTest, HugeValueAtEveryOffsetLoadsOrIsRejected) {
+  auto metric = MakeMetric(MetricKind::kL2);
+  Dataset data = GenerateDataset(DatasetId::kTLoc, 300, 5);
+  auto built = GtsIndex::Build(std::move(data), metric.get(), &device_,
+                               GtsOptions{});
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built.value()->SaveTo(path_).ok());
+  std::string contents;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    contents.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  const uint64_t huge = uint64_t{1} << 44;
+  std::map<StatusCode, int> outcomes;
+  for (size_t offset = 0; offset + sizeof(huge) <= contents.size();
+       offset += 4) {
+    std::string mutant = contents;
+    std::memcpy(mutant.data() + offset, &huge, sizeof(huge));
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    auto loaded = GtsIndex::Load(path_, metric.get(), &device_);
+    ++outcomes[loaded.status().code()];
+  }
+  for (const auto& [code, count] : outcomes) {
+    EXPECT_TRUE(code == StatusCode::kOk ||
+                code == StatusCode::kInvalidArgument)
+        << count << " mutants: " << Status(code, "").ToString();
+  }
+  EXPECT_GT(outcomes[StatusCode::kInvalidArgument], 0);
 }
 
 TEST_F(GtsSerializeTest, MissingFileIsNotFound) {

@@ -3,6 +3,7 @@
 // overflow and tombstone ratio, and batch reconstruction.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "baselines/brute_force.h"
@@ -86,6 +87,59 @@ TEST_F(GtsUpdateTest, InsertRejectsIndexPastSource) {
   auto id = index_->Insert(one, 0);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(id.value(), 300u);
+}
+
+// An object with a NaN or infinite coordinate would surface, at distance
+// NaN, in exact answers. Every write path rejects it before any mutation
+// or device allocation.
+TEST_F(GtsUpdateTest, NonFiniteObjectsRejectedOnEveryWritePath) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> bad = {
+      {nan, 0.5f}, {inf, 0.5f}, {0.5f, -inf}};
+
+  for (const auto& object : bad) {
+    Dataset data = GenerateDataset(DatasetId::kTLoc, 300, 51);
+    Dataset corpus = Dataset::FloatVectors(2);
+    for (uint32_t i = 0; i < data.size(); ++i) {
+      if (i == 123) {
+        corpus.AppendVector(object);
+      } else {
+        corpus.AppendFrom(data, i);
+      }
+    }
+    const uint64_t allocated = device_.allocated_bytes();
+    auto built = GtsIndex::Build(std::move(corpus), metric_.get(), &device_,
+                                 GtsOptions{});
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(device_.allocated_bytes(), allocated);
+  }
+
+  Build(300);
+  const Dataset good = GenerateDataset(DatasetId::kTLoc, 4, 999);
+  for (const auto& object : bad) {
+    Dataset inserts = Dataset::FloatVectors(2);
+    for (uint32_t i = 0; i < good.size(); ++i) inserts.AppendFrom(good, i);
+    inserts.AppendVector(object);
+    const uint32_t bad_idx = inserts.size() - 1;
+    const uint32_t size = index_->size();
+    const uint32_t alive = index_->alive_size();
+    const uint32_t cached = index_->cache_size();
+    const uint64_t allocated = device_.allocated_bytes();
+    EXPECT_EQ(index_->Insert(inserts, bad_idx).status().code(),
+              StatusCode::kInvalidArgument);
+    const std::vector<uint32_t> removals = {0, 1};
+    EXPECT_EQ(index_->BatchUpdate(inserts, removals).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index_->size(), size);
+    EXPECT_EQ(index_->alive_size(), alive);
+    EXPECT_EQ(index_->cache_size(), cached);
+    EXPECT_EQ(device_.allocated_bytes(), allocated);
+    // The finite objects of the same source are still accepted.
+    auto id = index_->Insert(inserts, 0);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(index_->Remove(id.value()).ok());
+  }
 }
 
 TEST_F(GtsUpdateTest, CacheOverflowTriggersRebuild) {

@@ -159,26 +159,45 @@ INSTANTIATE_TEST_SUITE_P(Kinds, FloatKernelTest,
 
 // --- Edit kernels: Myers / banded vs the DP reference -----------------------
 
-std::string RandomString(std::mt19937_64& rng, size_t len, int alphabet) {
+// `alphabet` consecutive byte values from `first`; (256, 0) is raw bytes,
+// NUL and bytes >= 0x80 included.
+std::string RandomString(std::mt19937_64& rng, size_t len, int alphabet,
+                         int first = 'a') {
   std::uniform_int_distribution<int> pick(0, alphabet - 1);
   std::string s(len, ' ');
-  for (char& c : s) c = static_cast<char>('a' + pick(rng));
+  for (char& c : s) c = static_cast<char>(first + pick(rng));
   return s;
 }
 
+struct Alphabet {
+  int size;
+  int first;
+};
+constexpr Alphabet kFuzzAlphabets[] = {{2, 'a'}, {4, 'a'}, {26, 'a'}, {256, 0}};
+
 TEST(EditKernelTest, MyersMatchesDpFuzz) {
   std::mt19937_64 rng(7);
-  // Lengths cross the 64-char word boundary (multi-word Myers) and mix
-  // small (DNA-like) and large alphabets; includes empty strings.
-  const std::vector<size_t> lens = {0, 1, 2, 5, 31, 63, 64, 65, 100, 128, 129, 200};
-  for (const int alphabet : {2, 4, 26}) {
+  // Lengths cross the 64-byte word boundary (single-word vs blocked Myers)
+  // and mix small (DNA-like), large and raw-byte alphabets; includes empty
+  // strings. Every tier's dispatched kernel runs in both argument orders.
+  const std::vector<size_t> lens = {0,  1,  2,   5,   7,   31, 63,
+                                    64, 65, 100, 128, 129, 200};
+  for (const Alphabet alpha : kFuzzAlphabets) {
     for (const size_t la : lens) {
       for (const size_t lb : lens) {
-        const std::string a = RandomString(rng, la, alphabet);
-        const std::string b = RandomString(rng, lb, alphabet);
-        EXPECT_EQ(kernels::EditDistanceMyers(a, b),
-                  kernels::EditDistanceDp(a, b))
-            << "alphabet=" << alphabet << " la=" << la << " lb=" << lb;
+        const std::string a = RandomString(rng, la, alpha.size, alpha.first);
+        const std::string b = RandomString(rng, lb, alpha.size, alpha.first);
+        const uint32_t want = kernels::EditDistanceDp(a, b);
+        EXPECT_EQ(kernels::EditDistanceMyers(a, b), want)
+            << "alphabet=" << alpha.size << " la=" << la << " lb=" << lb;
+        for (const simd::Tier tier : CompiledRunnableTiers()) {
+          EXPECT_EQ(kernels::EditDistance(tier, a, b), want)
+              << simd::TierName(tier) << " alphabet=" << alpha.size
+              << " la=" << la << " lb=" << lb;
+          EXPECT_EQ(kernels::EditDistance(tier, b, a), want)
+              << simd::TierName(tier) << " alphabet=" << alpha.size
+              << " la=" << lb << " lb=" << la << " (swapped)";
+        }
       }
     }
   }
@@ -229,6 +248,73 @@ TEST(EditKernelTest, DispatchedTierIsExact) {
   for (const simd::Tier tier : CompiledRunnableTiers()) {
     EXPECT_EQ(kernels::EditDistance(tier, "kitten", "sitting"), 3u)
         << simd::TierName(tier);
+  }
+}
+
+// The batch entry against per-pair DP: queries on both sides of the 64-byte
+// pattern limit, including a query longer than the objects it scores.
+TEST(EditKernelTest, ScoreIdsMatchesDpFuzz) {
+  std::mt19937_64 rng(29);
+  for (const Alphabet alpha : kFuzzAlphabets) {
+    Dataset queries = Dataset::Strings();
+    for (const size_t len : {0u, 1u, 64u, 65u}) {
+      queries.AppendString(RandomString(rng, len, alpha.size, alpha.first));
+    }
+    Dataset objects = Dataset::Strings();
+    for (size_t len = 0; len <= 130; ++len) {
+      objects.AppendString(RandomString(rng, len, alpha.size, alpha.first));
+    }
+    std::vector<uint32_t> ids(objects.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    for (uint32_t qi = 0; qi < queries.size(); ++qi) {
+      for (const simd::Tier tier : CompiledRunnableTiers()) {
+        std::vector<float> got(ids.size(), -1.0f);
+        kernels::ScoreIds(MetricKind::kEdit, tier, queries, qi, objects, ids,
+                          got.data());
+        for (const uint32_t i : ids) {
+          ASSERT_EQ(got[i], static_cast<float>(kernels::EditDistanceDp(
+                                queries.String(qi), objects.String(i))))
+              << simd::TierName(tier) << " alphabet=" << alpha.size
+              << " qlen=" << queries.String(qi).size() << " olen=" << i;
+        }
+      }
+    }
+  }
+}
+
+// The pattern masks are shared per thread and must be all-zero between
+// calls: each call's text is over the previous call's pattern alphabet and
+// disjoint from its own pattern, so a mask left set lowers the answer.
+TEST(EditKernelTest, PatternMasksClearedBetweenCalls) {
+  std::mt19937_64 rng(31);
+  Dataset objects = Dataset::Strings();
+  Dataset queries = Dataset::Strings();
+  for (int i = 0; i < 40; ++i) {
+    const int from = i % 2 == 0 ? 'a' : 'n';  // 'a'-'m' and 'n'-'z'
+    const int to = i % 2 == 0 ? 'n' : 'a';
+    const std::string pattern = RandomString(rng, 5 + i % 7, 13, from);
+    const std::string text = RandomString(rng, 12 + i % 30, 13, to);
+    queries.AppendString(pattern);
+    objects.AppendString(text);
+  }
+  std::vector<uint32_t> ids(objects.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (const simd::Tier tier : CompiledRunnableTiers()) {
+    for (uint32_t i = 0; i < queries.size(); ++i) {
+      const std::string_view pattern = queries.String(i);
+      const std::string_view text = objects.String(i);
+      // No shared byte: the distance is the longer length.
+      ASSERT_EQ(kernels::EditDistance(tier, pattern, text), text.size())
+          << simd::TierName(tier) << " pair " << i;
+      std::vector<float> got(ids.size(), -1.0f);
+      kernels::ScoreIds(MetricKind::kEdit, tier, queries, i, objects, ids,
+                        got.data());
+      for (const uint32_t j : ids) {
+        ASSERT_EQ(got[j], static_cast<float>(kernels::EditDistanceDp(
+                              pattern, objects.String(j))))
+            << simd::TierName(tier) << " query " << i << " object " << j;
+      }
+    }
   }
 }
 

@@ -365,6 +365,29 @@ TEST(ServeRequestTest, NonFiniteQueryRejectedBeforeAdmission) {
   EXPECT_EQ(stats.submitted, 2u);
 }
 
+// The write twin of NonFiniteQueryRejectedBeforeAdmission: a sharded
+// BatchUpdate holding one object with a NaN coordinate is rejected before
+// the scatter. Each shard's core call rejects its own sub-batch too, but a
+// shard whose slice is all finite would apply it, so without the pre-check
+// the batch would land on some shards only.
+TEST(ServeRequestTest, NonFiniteInsertRejectedBeforeScatter) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 4000, 53);
+  const auto shards = RoundRobinShards(env);
+  serve::ShardedFrontend frontend({{shards[0].get()}, {shards[1].get()}});
+
+  Dataset inserts = GenerateDataset(DatasetId::kTLoc, 8, 77);
+  inserts.AppendVector(
+      std::vector<float>{std::numeric_limits<float>::quiet_NaN(), 0.5f});
+  const uint32_t alive0 = shards[0]->alive_size();
+  const uint32_t alive1 = shards[1]->alive_size();
+  const Response got =
+      frontend.Submit(Request::BatchUpdate(inserts, {})).get();
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  frontend.Drain();
+  EXPECT_EQ(shards[0]->alive_size(), alive0);
+  EXPECT_EQ(shards[1]->alive_size(), alive1);
+}
+
 // Routed unified submissions must match the per-tenant direct answers —
 // the router plumbs one entry point.
 TEST(ServeRequestDifferential, RouterUnifiedMatchesPerTenantIndex) {
