@@ -107,7 +107,11 @@ struct KnnOptions {
   /// query's k-th nearest distance (+inf = none). The descent prunes
   /// against min(bound, running k-th) instead of the running k-th alone,
   /// so a tight bound cuts subtrees and leaf candidates the cold-started
-  /// search would still expand. The result contract weakens only beyond
+  /// search would still expand. A query with a finite bound also skips the
+  /// nearest-ring probe that seeds an unbounded query's running k-th before
+  /// the descent (search_knn.cc): the caller has already paid for a bound,
+  /// and re-probing every shard of a scatter would charge each shard a
+  /// probe. The result contract weakens only beyond
   /// the bound: every true top-k member with distance <= the bound is
   /// present, in canonical (dist, id) order; entries with distance > the
   /// bound may be missing or replaced (by the caller's premise they cannot
@@ -527,6 +531,11 @@ class GtsIndex {
     /// never consults it, so the top-k list itself stays exact for every
     /// candidate the capped descent reaches.
     float cap = std::numeric_limits<float>::infinity();
+    /// Left by the nearest-ring probe (ProbeKnn): d(query, root pivot), NaN
+    /// when the query was not probed, and the leaves the probe verified,
+    /// ascending by node id.
+    float root_dq = std::numeric_limits<float>::quiet_NaN();
+    std::vector<uint32_t> probed_leaves;
     float Bound() const {
       const float own = topk.size() < k ? std::numeric_limits<float>::infinity()
                                         : topk.back().dist;
@@ -578,6 +587,11 @@ class GtsIndex {
   Result<KnnResults> KnnQueryBatchImpl(const Dataset& queries, uint32_t k,
                                        std::span<const float> initial_bounds,
                                        QueryContext* ctx) const;
+  /// Runs the nearest-ring probe for every query without a finite cap and
+  /// returns the level-1 frontier of the queries left to descend.
+  std::vector<Entry> ProbeKnn(const Dataset& queries,
+                              std::vector<KnnState>* states,
+                              QueryContext* ctx) const;
   Status KnnLevel(std::span<const Entry> frontier, uint32_t layer,
                   const Dataset& queries, std::vector<KnnState>* states,
                   QueryContext* ctx) const;

@@ -6,6 +6,21 @@
 // object id (a pivot is re-seen when its leaf is verified) and skips
 // tombstoned objects, both required for exactness.
 //
+// Before the descent, each query without a finite initial bound runs a
+// nearest-ring probe (ProbeKnn): a depth-first walk from the root that
+// enters children in ascending ring-gap order, evaluates one pivot per
+// inner node it enters, verifies every alive object of each leaf it
+// reaches, and stops once it has verified a leaf and holds k alive
+// objects. The descent then prunes from level 1 against that k-th
+// distance, where a cold start would prune against +inf until k pivots had
+// been seen. The probe is exact for the same reason the descent is: every
+// bound it leaves is the k-th of k real alive distances, so it is never
+// below the true k-th nearest distance, and the descent discards only
+// candidates whose lower bound strictly exceeds it. Leaves the probe
+// verified are skipped at the leaf level (each of their alive objects has
+// been offered already), and level 1 reuses the probe's root distance, so
+// neither is evaluated twice.
+//
 // Like the range query, the descent reads only through the QueryContext's
 // pinned version — lock-free, and unperturbed by concurrent updates.
 
@@ -175,11 +190,7 @@ Result<KnnResults> GtsIndex::KnnQueryBatchImpl(
   }
 
   if (ctx->indexed_count() > 0) {
-    std::vector<Entry> frontier;
-    frontier.reserve(queries.size());
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-      frontier.push_back(Entry{1, q, kNoParent});
-    }
+    const std::vector<Entry> frontier = ProbeKnn(queries, &states, ctx);
     GTS_RETURN_IF_ERROR(KnnLevel(frontier, 1, queries, &states, ctx));
   }
   SearchCacheKnn(queries, &states, ctx);
@@ -188,6 +199,117 @@ Result<KnnResults> GtsIndex::KnnQueryBatchImpl(
     out[q] = std::move(states[q].topk);
   }
   return out;
+}
+
+std::vector<GtsIndex::Entry> GtsIndex::ProbeKnn(
+    const Dataset& queries, std::vector<KnnState>* states,
+    QueryContext* ctx) const {
+  const uint32_t nc = options_.node_capacity;
+  const uint32_t height = ctx->height();
+  const std::span<const uint32_t> tl_object = ctx->tl_object();
+  const std::span<const uint8_t> alive = ctx->alive();
+
+  // The walk's stack, by level: the inner node on the current path, its
+  // non-empty children as ascending (ring gap bits << 32 | child index)
+  // keys, and how many of those the walk has entered.
+  std::vector<uint64_t> path(height);
+  std::vector<uint64_t> children(static_cast<size_t>(height) * nc);
+  std::vector<uint32_t> child_count(height), entered(height);
+  // The distance work the probe evaluated at each level, across the batch.
+  std::vector<DistanceStats> work(height + 1);
+  const auto measure = [&work](uint32_t layer, const DistanceStats& before) {
+    const DistanceStats now = DistanceMetric::ThreadStats();
+    work[layer].calls += now.calls - before.calls;
+    work[layer].ops += now.ops - before.ops;
+  };
+  std::vector<float> dist;
+  // Walks query q's tree from the root until the stop rule holds; returns
+  // true when it walked the whole tree instead.
+  const auto walk = [&](uint32_t q, KnnState& state) {
+    uint64_t node = 1;
+    uint32_t layer = 1;
+    for (;;) {
+      const GtsNode& n = ctx->node(node);
+      const DistanceStats before = DistanceMetric::ThreadStats();
+      if (layer == height) {
+        // One block call per run of alive slots.
+        for (uint32_t j = 0; j < n.size;) {
+          if (!alive[tl_object[n.pos + j]]) {
+            ++j;
+            continue;
+          }
+          uint32_t run = j + 1;
+          while (run < n.size && alive[tl_object[n.pos + run]]) ++run;
+          dist.resize(run - j);
+          QuerySlotDistances(queries, q, n.pos + j, run - j, ctx, dist.data());
+          for (uint32_t t = j; t < run; ++t) {
+            state.Offer(tl_object[n.pos + t], dist[t - j]);
+          }
+          j = run;
+        }
+        measure(height, before);
+        state.probed_leaves.push_back(static_cast<uint32_t>(node));
+        ctx->stats.objects_verified += n.size;
+        if (state.topk.size() >= state.k) return false;
+      } else {
+        float dq;
+        QueryObjectDistances(queries, q, std::span(&n.pivot, 1), ctx, &dq);
+        measure(layer, before);
+        if (alive[n.pivot]) state.Offer(n.pivot, dq);
+        if (layer == 1) state.root_dq = dq;
+        ++ctx->stats.nodes_visited;
+        if (!state.probed_leaves.empty() && state.topk.size() >= state.k) {
+          return false;
+        }
+        path[layer] = node;
+        uint64_t* keys = &children[(layer - 1) * nc];
+        uint32_t m = 0;
+        for (uint32_t j = 0; j < nc; ++j) {
+          const GtsNode& child = ctx->node(ChildNodeId(node, j, nc));
+          if (child.size == 0) continue;
+          const float gap =
+              std::max({0.0f, child.min_dis - dq, dq - child.max_dis});
+          keys[m++] = uint64_t{std::bit_cast<uint32_t>(gap)} << 32 | j;
+        }
+        std::sort(keys, keys + m);
+        child_count[layer] = m;
+        entered[layer] = 0;
+      }
+      // Next: the nearest child not yet entered of the deepest inner node
+      // on the path.
+      uint32_t up = std::min(layer, height - 1);
+      while (up > 0 && entered[up] == child_count[up]) --up;
+      if (up == 0) return true;
+      const uint64_t key = children[(up - 1) * nc + entered[up]++];
+      node = ChildNodeId(path[up], static_cast<uint32_t>(key), nc);
+      layer = up + 1;
+    }
+  };
+
+  std::vector<Entry> frontier;
+  frontier.reserve(queries.size());
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    KnnState& state = (*states)[q];
+    // Initial bounds are non-negative, so only +inf is infinite. A query
+    // whose probe walked the whole tree has nothing left to descend into.
+    if (std::isinf(state.cap) && walk(q, state)) continue;
+    std::sort(state.probed_leaves.begin(), state.probed_leaves.end());
+    frontier.push_back(Entry{1, q, kNoParent});
+  }
+
+  // Charged level by level, as the descent is: one query's step at a level
+  // depends on its step above, so the steps of one level across the batch
+  // form one kernel. Per inner level, the pivot distances evaluated there
+  // and their ring tests (charged like kernel B); at the leaf level, the
+  // verified objects. The charges depend only on the evaluated set, not on
+  // the order the host walked it in.
+  for (uint32_t layer = 1; layer < height; ++layer) {
+    const uint64_t steps = work[layer].calls;
+    ctx->clock.ChargeKernel(steps, work[layer].ops);
+    ctx->clock.ChargeKernel(steps * nc, steps * nc * 4);
+  }
+  ctx->clock.ChargeKernel(work[height].calls, work[height].ops);
+  return frontier;
 }
 
 Status GtsIndex::KnnLevel(std::span<const Entry> frontier, uint32_t layer,
@@ -217,13 +339,21 @@ Status GtsIndex::KnnLevel(std::span<const Entry> frontier, uint32_t layer,
     // query's running top-k (Algorithm 5 lines 7-12). The Offers happen
     // after a segment's distances are computed, in the original entry
     // order — the top-k is a selection, so its content is order-free, and
-    // the pruning bound is only read after this kernel completes.
+    // the pruning bound is only read after this kernel completes. At the
+    // root, a probed query's distance is the probe's, already offered, so
+    // the kernel's items are the distances it evaluates.
     std::vector<float> dq(group.size());
     {
-      gpu::KernelDistanceScope scope(&ctx->clock, metric_, group.size());
+      gpu::KernelDistanceScope scope(&ctx->clock, metric_,
+                                     gpu::KernelDistanceScope::kAutoItems);
       std::vector<uint32_t> pivots;
       size_t i = 0;
       while (i < group.size()) {
+        const float root_dq = (*states)[group[i].query].root_dq;
+        if (layer == 1 && !std::isnan(root_dq)) {  // one root entry a query
+          dq[i++] = root_dq;
+          continue;
+        }
         size_t j = i;
         pivots.clear();
         while (j < group.size() && group[j].query == group[i].query) {
@@ -278,74 +408,13 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
   const std::span<const uint32_t> tl_object = ctx->tl_object();
   const std::span<const uint8_t> alive = ctx->alive();
 
-  // Two-kernel leaf verification (Algorithm 5's "select the current best k
-  // to derive the narrowed bound, then prune"): kernel A verifies each
-  // query's first surviving leaf to seed the k-bound; kernel B filters the
-  // remaining leaves' objects through the stored pivot column against that
-  // bound before computing exact distances.
-  // Pre-pass: per query, pick the leaf whose ring best matches the query's
-  // pivot distance — its objects are the likeliest near-neighbours.
-  std::vector<size_t> seed_entry(states->size(), SIZE_MAX);
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const Entry& e = frontier[i];
-    if (std::isnan(e.parent_dq)) {  // single-level tree: any leaf
-      if (seed_entry[e.query] == SIZE_MAX) seed_entry[e.query] = i;
-      continue;
-    }
-    const auto ring_gap = [&](size_t fi) {
-      const GtsNode& leaf = ctx->node(frontier[fi].node);
-      if (frontier[fi].parent_dq < leaf.min_dis) {
-        return leaf.min_dis - frontier[fi].parent_dq;
-      }
-      if (frontier[fi].parent_dq > leaf.max_dis) {
-        return frontier[fi].parent_dq - leaf.max_dis;
-      }
-      return 0.0f;
-    };
-    if (seed_entry[e.query] == SIZE_MAX ||
-        ring_gap(i) < ring_gap(seed_entry[e.query])) {
-      seed_entry[e.query] = i;
-    }
-  }
-  ctx->clock.ChargeScan(frontier.size());
-
-  // Kernel A scores each seed leaf with one block call per run of alive
-  // slots (the whole leaf when nothing is tombstoned), then feeds the
-  // top-k in slot order — the evaluated set and every Offer are identical
-  // to the historical per-object loop.
-  uint64_t seed_scanned = 0;
-  {
-    gpu::KernelDistanceScope scope(&ctx->clock, metric_,
-                                   gpu::KernelDistanceScope::kAutoItems);
-    std::vector<float> dist;
-    for (const size_t i : seed_entry) {
-      if (i == SIZE_MAX) continue;
-      const Entry& e = frontier[i];
-      const GtsNode& leaf = ctx->node(e.node);
-      seed_scanned += leaf.size;
-      for (uint32_t j = 0; j < leaf.size;) {
-        if (!alive[tl_object[leaf.pos + j]]) {
-          ++j;
-          continue;
-        }
-        uint32_t run = j + 1;
-        while (run < leaf.size && alive[tl_object[leaf.pos + run]]) ++run;
-        dist.resize(run - j);
-        QuerySlotDistances(queries, e.query, leaf.pos + j, run - j, ctx,
-                           dist.data());
-        for (uint32_t t = j; t < run; ++t) {
-          (*states)[e.query].Offer(tl_object[leaf.pos + t], dist[t - j]);
-        }
-        j = run;
-      }
-    }
-  }
-  ctx->stats.objects_verified += seed_scanned;
-
-  // Kernels B1 and B2 run one query segment at a time: the frontier is
-  // sorted by query, and a query's top-k depends only on its own
-  // candidates. B1 filters the segment's leaf slots through the stored
-  // pivot column against the seeded bound; a survivor carries its annulus
+  // Leaf verification (Algorithm 5's "select the current best k to derive
+  // the narrowed bound, then prune"): the bound comes from the probe, or
+  // from the caller's cap, and kernels B1 and B2 filter and verify the
+  // leaves the probe did not verify. Both run one query segment at a time:
+  // the frontier is sorted by query, and a query's top-k depends only on
+  // its own candidates. B1 filters the segment's leaf slots through the
+  // stored pivot column against the bound; a survivor carries its annulus
   // gap |tl_dis - dq|, a lower bound on its true distance (Lemma 5.2).
   // B2 verifies the survivors in ascending (gap, slot) order, Algorithm
   // 5's encode-sort order, so the bound tightens as early as possible. The
@@ -375,11 +444,21 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
     assert(begin == 0 || frontier[begin - 1].query < q);  // one segment
     KnnState& state = (*states)[q];
     const float bound = state.Bound();
+    // The segment's leaves ascend by node id, as do the probed ones, so
+    // one merge pass finds the leaves the probe already verified.
+    const std::vector<uint32_t>& probed = state.probed_leaves;
+    size_t next_probed = 0;
     keys.clear();
     for (end = begin; end < frontier.size() && frontier[end].query == q;
          ++end) {
-      if (seed_entry[q] == end) continue;  // already verified
       const Entry& e = frontier[end];
+      assert(end == begin || frontier[end - 1].node < e.node);
+      while (next_probed < probed.size() && probed[next_probed] < e.node) {
+        ++next_probed;
+      }
+      if (next_probed < probed.size() && probed[next_probed] == e.node) {
+        continue;  // verified by the probe
+      }
       const GtsNode& leaf = ctx->node(e.node);
       const bool has_parent = e.node != 1;
       scanned += leaf.size;

@@ -118,7 +118,7 @@ struct ShardedFrontend::KnnScatter {
     /// Non-seed candidate shards and their lower bounds d(q, pivot) - r.
     std::vector<std::pair<uint32_t, float>> deferred;
     // Filled by RunPhase2:
-    KnnResult seed_result{Status::Ok()};
+    KnnResult seed_result{std::vector<Neighbor>{}};
     std::vector<SubRead> phase2;
   };
 

@@ -1,16 +1,24 @@
 // Deterministic whole-stack query fingerprint for the kernel-dispatch CI
 // matrix. Builds an index per paper dataset family, runs batched kNN and
-// range queries, and folds every observable — result ids, distance float
-// bits, query-stat counters, metric work counters — into one FNV-1a hash
-// per dataset. A further `knn-20k` line covers the kNN leaf verifier at
-// scale: a tombstoned T-Loc index whose device budget splits each batch
-// into several query groups, queried in exact, approximate, bounded and
-// large-k mode, with the modeled device clock folded in. A combined digest
-// closes the report.
+// range queries, and folds every observable into two FNV-1a hashes per
+// dataset: `answers` folds the exact results (ids and distance float
+// bits), `work` folds everything an algorithmic change may legitimately
+// move — query-stat counters and metric work counters. A further `knn-20k`
+// line covers the kNN leaf verifier at scale: a tombstoned T-Loc index
+// whose device budget splits each batch into several query groups, queried
+// in exact, approximate, bounded and large-k mode; its `answers` fold the
+// exact and large-k results, its `work` the counters, the approximate and
+// bounded results (whose contracts let them move) and the modeled device
+// clock. A combined digest of every hash closes the report.
+//
+// A change that keeps exact answers but changes the work (a better bound,
+// a different charge) moves only the `work` column; comparing the
+// `answers` column of two builds proves the results did not move.
 //
 // Two modes:
-//   query_fingerprint               print one `<dataset> <hex>` line per
-//                                   dataset and a final `combined <hex>`,
+//   query_fingerprint               print one `<dataset> answers <hex>
+//                                   work <hex>` line per dataset and a
+//                                   final `combined <hex>`,
 //                                   under whatever tier GTS_SIMD /
 //                                   GTS_FORCE_SCALAR resolve to. CI runs
 //                                   this once per forced tier and diffs
@@ -83,9 +91,15 @@ void FoldStats(uint64_t* h, const GtsQueryStats& s) {
   FoldPod(h, s.nodes_pruned);
 }
 
+// The two hashes of one report line.
+struct Hashes {
+  uint64_t answers = kFnvOffset;
+  uint64_t work = kFnvOffset;
+};
+
 // Fingerprint of one dataset family's full query workload (mirrors the
 // TierEquivalenceTest workload so a CI mismatch reproduces under gtest).
-uint64_t FingerprintDataset(DatasetId id) {
+Hashes FingerprintDataset(DatasetId id) {
   const uint32_t n = id == DatasetId::kDna ? 120 : 400;
   Dataset data = GenerateDataset(id, n, 17);
   const Dataset queries = SampleQueries(data, 8, 29);
@@ -101,13 +115,14 @@ uint64_t FingerprintDataset(DatasetId id) {
   }
   const GtsIndex& index = *built.value();
 
-  uint64_t h = kFnvOffset;
-  FoldPod(&h, static_cast<uint32_t>(id));
+  Hashes h;
+  FoldPod(&h.answers, static_cast<uint32_t>(id));
+  FoldPod(&h.work, static_cast<uint32_t>(id));
 
   GtsQueryStats knn_stats;
   auto knn = index.KnnQueryBatch(queries, 5, &knn_stats);
   if (!knn.ok()) std::exit(2);
-  FoldNeighbors(&h, knn.value());
+  FoldNeighbors(&h.answers, knn.value());
 
   const float radius = id == DatasetId::kDna     ? 18.0f
                        : id == DatasetId::kWords ? 4.0f
@@ -117,15 +132,15 @@ uint64_t FingerprintDataset(DatasetId id) {
   auto range = index.RangeQueryBatch(queries, radii, &range_stats);
   if (!range.ok()) std::exit(2);
   for (const auto& ids : range.value()) {
-    FoldPod(&h, static_cast<uint64_t>(ids.size()));
-    for (const uint32_t oid : ids) FoldPod(&h, oid);
+    FoldPod(&h.answers, static_cast<uint64_t>(ids.size()));
+    for (const uint32_t oid : ids) FoldPod(&h.answers, oid);
   }
 
-  FoldStats(&h, knn_stats);
-  FoldStats(&h, range_stats);
+  FoldStats(&h.work, knn_stats);
+  FoldStats(&h.work, range_stats);
   const DistanceStats ms = metric->stats();
-  FoldPod(&h, ms.calls);
-  FoldPod(&h, ms.ops);
+  FoldPod(&h.work, ms.calls);
+  FoldPod(&h.work, ms.ops);
   return h;
 }
 
@@ -135,8 +150,8 @@ uint64_t FingerprintDataset(DatasetId id) {
 // several query groups. Folds exact kNN, candidate_fraction 0.5 and 0.2,
 // initial bounds (+inf for even queries, the exact k-th distance for odd
 // ones), k = 50, and finally the bits of the device clock every call
-// charged.
-uint64_t FingerprintKnnVerifier() {
+// charged. Answers: the exact and k = 50 results; work: the rest.
+Hashes FingerprintKnnVerifier() {
   constexpr uint32_t kK = 8;
   Dataset data = GenerateDataset(DatasetId::kTLoc, 20000, 23);
   const Dataset queries = SampleQueries(data, 128, 31);
@@ -157,8 +172,9 @@ uint64_t FingerprintKnnVerifier() {
     if (!index.Remove(id).ok()) std::exit(2);
   }
 
-  uint64_t h = kFnvOffset;
-  const auto run = [&](uint32_t k, const KnnOptions& knn_options) {
+  Hashes h;
+  const auto run = [&](uint32_t k, const KnnOptions& knn_options,
+                       uint64_t* results_hash) {
     GtsQueryStats stats;
     auto res = index.KnnQueryBatch(queries, k, &stats, knn_options);
     if (!res.ok()) std::exit(2);
@@ -166,15 +182,15 @@ uint64_t FingerprintKnnVerifier() {
       std::fprintf(stderr, "knn-20k: batch ran as one query group\n");
       std::exit(2);
     }
-    FoldNeighbors(&h, res.value());
-    FoldStats(&h, stats);
+    FoldNeighbors(results_hash, res.value());
+    FoldStats(&h.work, stats);
     return std::move(res).value();
   };
-  const KnnResults exact = run(kK, {});
+  const KnnResults exact = run(kK, {}, &h.answers);
   for (const double fraction : {0.5, 0.2}) {
     KnnOptions approx;
     approx.candidate_fraction = fraction;
-    run(kK, approx);
+    run(kK, approx, &h.work);
   }
   std::vector<float> bounds;
   for (uint32_t q = 0; q < queries.size(); ++q) {
@@ -184,38 +200,45 @@ uint64_t FingerprintKnnVerifier() {
   }
   KnnOptions bounded;
   bounded.initial_bounds = bounds;
-  run(kK, bounded);
-  run(50, {});
-  FoldPod(&h, device.clock().ElapsedNs());
+  run(kK, bounded, &h.work);
+  run(50, {}, &h.answers);
+  FoldPod(&h.work, device.clock().ElapsedNs());
   return h;
 }
 
 struct Report {
-  std::vector<uint64_t> per_dataset;
-  uint64_t knn_verifier = 0;
+  std::vector<Hashes> per_dataset;
+  Hashes knn_verifier;
   uint64_t combined = kFnvOffset;
 };
 
 Report RunAll() {
   Report r;
   for (const DatasetId id : kAllDatasets) {
-    const uint64_t h = FingerprintDataset(id);
-    r.per_dataset.push_back(h);
-    FoldPod(&r.combined, h);
+    r.per_dataset.push_back(FingerprintDataset(id));
   }
   r.knn_verifier = FingerprintKnnVerifier();
-  FoldPod(&r.combined, r.knn_verifier);
+  for (const Hashes& h : r.per_dataset) {
+    FoldPod(&r.combined, h.answers);
+    FoldPod(&r.combined, h.work);
+  }
+  FoldPod(&r.combined, r.knn_verifier.answers);
+  FoldPod(&r.combined, r.knn_verifier.work);
   return r;
+}
+
+void PrintLine(const char* name, const Hashes& h) {
+  std::printf("%-8s answers %016" PRIx64 " work %016" PRIx64 "\n", name,
+              h.answers, h.work);
 }
 
 void Print(const Report& r, const char* tier) {
   std::printf("tier %s\n", tier);
   size_t i = 0;
   for (const DatasetId id : kAllDatasets) {
-    std::printf("%-8s %016" PRIx64 "\n", GetDatasetSpec(id).name,
-                r.per_dataset[i++]);
+    PrintLine(GetDatasetSpec(id).name, r.per_dataset[i++]);
   }
-  std::printf("%-8s %016" PRIx64 "\n", "knn-20k", r.knn_verifier);
+  PrintLine("knn-20k", r.knn_verifier);
   std::printf("combined %016" PRIx64 "\n", r.combined);
 }
 
