@@ -54,7 +54,7 @@ Result<std::unique_ptr<GtsIndex>> GtsIndex::Build(Dataset data,
       new GtsIndex(metric, device, options, data.kind(), data.dim()));
 
   auto live = std::make_shared<Liveness>();
-  live->alive.assign(data.size(), 1);
+  for (uint32_t id = 0; id < data.size(); ++id) live->MarkAlive(id);
   live->alive_count = data.size();
 
   std::vector<uint32_t> ids(data.size());
@@ -95,7 +95,7 @@ CoveringBall GtsIndex::ComputeCoveringBall(const Version& v) const {
   }
   if (pivot == kInvalidId) {
     for (uint32_t id = 0; id < data.size(); ++id) {
-      if (live.alive[id]) {
+      if (live.alive(id)) {
         pivot = id;
         break;
       }
@@ -112,7 +112,7 @@ CoveringBall GtsIndex::ComputeCoveringBall(const Version& v) const {
   std::vector<uint32_t> ids;
   ids.reserve(live.alive_count);
   for (uint32_t id = 0; id < data.size(); ++id) {
-    if (live.alive[id]) ids.push_back(id);
+    if (live.alive(id)) ids.push_back(id);
   }
   std::vector<float> dist(ids.size());
   metric_->DistanceBatch(data, pivot, data, ids, dist.data());
@@ -139,7 +139,7 @@ Status GtsIndex::UpdateResidentBytes(Version* v) {
   uint64_t bytes = IndexBytesOf(*v);
   const Dataset& data = *v->data;
   for (uint32_t id = 0; id < data.size(); ++id) {
-    if (v->live->alive[id]) bytes += data.ObjectBytes(id);
+    if (v->live->alive(id)) bytes += data.ObjectBytes(id);
   }
   if (bytes > resident_bytes_) {
     GTS_RETURN_IF_ERROR(
@@ -223,7 +223,7 @@ uint64_t GtsIndex::rebuild_count() const {
 
 bool GtsIndex::IsAlive(uint32_t id) const {
   epoch::Guard guard(&epoch_);
-  return Current().live->alive[id] != 0;
+  return Current().live->alive(id);
 }
 
 CoveringBall GtsIndex::covering_ball() const {
@@ -368,12 +368,14 @@ Result<uint32_t> GtsIndex::Insert(const Dataset& src, uint32_t idx) {
   GTS_RETURN_IF_ERROR(device_->Allocate(obj_bytes, "GTS cache insert"));
   resident_bytes_ += obj_bytes;
 
+  // The dataset copy shares its payload, and the append lands in place
+  // (metric/dataset.h); the liveness copy is n/8 bytes.
   auto data = std::make_shared<Dataset>(*cur.data);
   data->AppendFrom(src, idx);
   const uint32_t id = data->size() - 1;
 
   auto live = std::make_shared<Liveness>(*cur.live);
-  live->alive.push_back(1);
+  live->MarkAlive(id);
   ++live->alive_count;
 
   auto cache = std::make_shared<CacheList>(*cur.cache);
@@ -414,11 +416,11 @@ Result<uint32_t> GtsIndex::Insert(const Dataset& src, uint32_t idx) {
 Status GtsIndex::Remove(uint32_t id) {
   MutexLock lock(&writer_mu_);
   const Version& cur = Current();
-  if (id >= cur.data->size() || !cur.live->alive[id]) {
+  if (id >= cur.data->size() || !cur.live->alive(id)) {
     return Status::NotFound("object not present");
   }
   auto live = std::make_shared<Liveness>(*cur.live);
-  live->alive[id] = 0;
+  live->MarkDead(id);
   --live->alive_count;
   auto cache = std::make_shared<CacheList>(*cur.cache);
   device_->clock().ChargeKernel(1, 4);  // O(1) locate + mark
@@ -466,13 +468,13 @@ Status GtsIndex::BatchUpdate(const Dataset& inserts,
   auto data = std::make_shared<Dataset>(*cur.data);
   auto live = std::make_shared<Liveness>(*cur.live);
   for (const uint32_t id : removals) {
-    if (id >= data->size() || !live->alive[id]) continue;
-    live->alive[id] = 0;
+    if (id >= data->size() || !live->alive(id)) continue;
+    live->MarkDead(id);
     --live->alive_count;
   }
   for (uint32_t i = 0; i < inserts.size(); ++i) {
     data->AppendFrom(inserts, i);
-    live->alive.push_back(1);
+    live->MarkAlive(data->size() - 1);
     ++live->alive_count;
   }
   device_->clock().ChargeKernel(removals.size() + inserts.size(),
@@ -518,7 +520,7 @@ Status GtsIndex::RebuildVersion(Version* v) const {
   std::vector<uint32_t> ids;
   ids.reserve(v->live->alive_count);
   for (uint32_t id = 0; id < v->data->size(); ++id) {
-    if (v->live->alive[id]) ids.push_back(id);
+    if (v->live->alive(id)) ids.push_back(id);
   }
   ++v->rebuild_count;
   auto tree = std::make_shared<TreeTables>();

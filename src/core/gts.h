@@ -310,13 +310,18 @@ class GtsIndex {
 
   /// Streaming insert: copies object `idx` of `src` into the cache table
   /// (O(1) modeled device cost); rebuilds when the cache budget overflows.
-  /// Returns the new id. An incompatible `src`, an `idx` past its end or an
-  /// object with a NaN or infinite coordinate is kInvalidArgument.
+  /// On the host the new version shares the tree and the dataset payload
+  /// (the object is appended in place, see metric/dataset.h) and copies
+  /// the liveness bits (n/8 bytes) and the cache list. Returns the new id.
+  /// An incompatible `src`, an `idx` past its end or an object with a NaN
+  /// or infinite coordinate is kInvalidArgument.
   Result<uint32_t> Insert(const Dataset& src, uint32_t idx)
       EXCLUDES(writer_mu_);
 
   /// Streaming delete: removes from the cache when present, otherwise
-  /// tombstones the table-list entry (O(1) modeled device cost).
+  /// tombstones the table-list entry (O(1) modeled device cost). On the
+  /// host the new version shares the tree and the dataset and copies the
+  /// liveness bits (n/8 bytes) and the cache list.
   Status Remove(uint32_t id) EXCLUDES(writer_mu_);
 
   /// Batch update: applies all removals and inserts, then reconstructs the
@@ -435,8 +440,12 @@ class GtsIndex {
   // --- Versioned state ---------------------------------------------------
   // Everything a query reads is bundled into an immutable Version behind
   // `current_`. Components are individually shared_ptr'd so an update can
-  // copy only what it touches (an Insert shares the tree tables of its
-  // predecessor; a Remove shares the dataset). The flat GPU-table layout
+  // copy only what it touches. A streaming write (Insert/Remove) copies the
+  // liveness bits (n/8 bytes) and the cache list (bounded by the cache
+  // budget) and shares the tree tables. A Remove shares the dataset; an
+  // Insert copies it in O(1), because dataset copies share one append-only
+  // payload and the successor's append lands past every slot a reader of
+  // the predecessor reads (metric/dataset.h). The flat GPU-table layout
   // makes the tree one component — per-node copy-on-write would degenerate
   // to copying the contiguous tables anyway.
 
@@ -456,11 +465,21 @@ class GtsIndex {
     uint32_t indexed_count = 0;  ///< objects covered by the tree
   };
 
-  /// Liveness and tombstone accounting.
+  /// Liveness and tombstone accounting: one bit per object id, so a
+  /// streaming write copies n/8 bytes of it. `bits` holds ceil(n / 64)
+  /// words for the n objects of the version's dataset; bits past n are 0.
   struct Liveness {
-    std::vector<uint8_t> alive;
+    std::vector<uint64_t> bits;  ///< bit id % 64 of word id / 64: id alive
     uint32_t alive_count = 0;
     uint32_t tombstones_in_tree = 0;
+
+    bool alive(uint32_t id) const { return (bits[id / 64] >> (id % 64)) & 1; }
+    /// Marks `id` alive; `id` may be the next id past the array's end.
+    void MarkAlive(uint32_t id) {
+      if (id / 64 == bits.size()) bits.push_back(0);
+      bits[id / 64] |= uint64_t{1} << (id % 64);
+    }
+    void MarkDead(uint32_t id) { bits[id / 64] &= ~(uint64_t{1} << (id % 64)); }
   };
 
   /// One immutable published state of the index. Readers hold it via an
@@ -514,7 +533,7 @@ class GtsIndex {
     const GtsNode& node(uint64_t id) const { return v->tree->node_list[id]; }
     std::span<const uint32_t> tl_object() const { return v->tree->tl_object; }
     std::span<const float> tl_dis() const { return v->tree->tl_dis; }
-    std::span<const uint8_t> alive() const { return v->live->alive; }
+    const Liveness& live() const { return *v->live; }
     const CacheList& cache() const { return *v->cache; }
     uint32_t height() const { return v->tree->height; }
     uint32_t indexed_count() const { return v->tree->indexed_count; }

@@ -207,7 +207,7 @@ std::vector<GtsIndex::Entry> GtsIndex::ProbeKnn(
   const uint32_t nc = options_.node_capacity;
   const uint32_t height = ctx->height();
   const std::span<const uint32_t> tl_object = ctx->tl_object();
-  const std::span<const uint8_t> alive = ctx->alive();
+  const Liveness& live = ctx->live();
 
   // The walk's stack, by level: the inner node on the current path, its
   // non-empty children as ascending (ring gap bits << 32 | child index)
@@ -234,12 +234,12 @@ std::vector<GtsIndex::Entry> GtsIndex::ProbeKnn(
       if (layer == height) {
         // One block call per run of alive slots.
         for (uint32_t j = 0; j < n.size;) {
-          if (!alive[tl_object[n.pos + j]]) {
+          if (!live.alive(tl_object[n.pos + j])) {
             ++j;
             continue;
           }
           uint32_t run = j + 1;
-          while (run < n.size && alive[tl_object[n.pos + run]]) ++run;
+          while (run < n.size && live.alive(tl_object[n.pos + run])) ++run;
           dist.resize(run - j);
           QuerySlotDistances(queries, q, n.pos + j, run - j, ctx, dist.data());
           for (uint32_t t = j; t < run; ++t) {
@@ -255,7 +255,7 @@ std::vector<GtsIndex::Entry> GtsIndex::ProbeKnn(
         float dq;
         QueryObjectDistances(queries, q, std::span(&n.pivot, 1), ctx, &dq);
         measure(layer, before);
-        if (alive[n.pivot]) state.Offer(n.pivot, dq);
+        if (live.alive(n.pivot)) state.Offer(n.pivot, dq);
         if (layer == 1) state.root_dq = dq;
         ++ctx->stats.nodes_visited;
         if (!state.probed_leaves.empty() && state.topk.size() >= state.k) {
@@ -363,7 +363,7 @@ Status GtsIndex::KnnLevel(std::span<const Entry> frontier, uint32_t layer,
         QueryObjectDistances(queries, group[i].query, pivots, ctx,
                              dq.data() + i);
         for (size_t t = i; t < j; ++t) {
-          if (ctx->alive()[pivots[t - i]]) {
+          if (ctx->live().alive(pivots[t - i])) {
             (*states)[group[t].query].Offer(pivots[t - i], dq[t]);
           }
         }
@@ -406,7 +406,7 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
                                QueryContext* ctx) const {
   const std::span<const float> tl_dis = ctx->tl_dis();
   const std::span<const uint32_t> tl_object = ctx->tl_object();
-  const std::span<const uint8_t> alive = ctx->alive();
+  const Liveness& live = ctx->live();
 
   // Leaf verification (Algorithm 5's "select the current best k to derive
   // the narrowed bound, then prune"): the bound comes from the probe, or
@@ -467,7 +467,7 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
         const float gap =
             has_parent ? std::fabs(tl_dis[idx] - e.parent_dq) : 0.0f;
         if (gap > bound) continue;
-        if (!alive[tl_object[idx]]) continue;
+        if (!live.alive(tl_object[idx])) continue;
         keys.push_back(uint64_t{std::bit_cast<uint32_t>(gap)} << 32 | idx);
       }
     }

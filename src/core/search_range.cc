@@ -177,7 +177,7 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
                                  RangeResults* out, QueryContext* ctx) const {
   const std::span<const float> tl_dis = ctx->tl_dis();
   const std::span<const uint32_t> tl_object = ctx->tl_object();
-  const std::span<const uint8_t> alive = ctx->alive();
+  const Liveness& live = ctx->live();
 
   // Phase 1: pivot filter via the stored leaf column (Lemma 5.1 with the
   // leaf parent's pivot), skipping tombstoned objects.
@@ -191,7 +191,7 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
     for (uint32_t j = 0; j < leaf.size; ++j) {
       const uint32_t idx = leaf.pos + j;
       if (has_parent && std::fabs(tl_dis[idx] - e.parent_dq) > r) continue;
-      if (!alive[tl_object[idx]]) continue;
+      if (!live.alive(tl_object[idx])) continue;
       candidates.emplace_back(e.query, idx);
     }
   }

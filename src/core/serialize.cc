@@ -48,7 +48,10 @@ Status GtsIndex::SaveTo(const std::string& path) const {
   WriteVec(out, v.tree->node_list);
   WriteVec(out, v.tree->tl_object);
   WriteVec(out, v.tree->tl_dis);
-  WriteVec(out, v.live->alive);
+  // Liveness is a bitset in memory and one byte per object on disk.
+  std::vector<uint8_t> alive(v.data->size());
+  for (uint32_t id = 0; id < alive.size(); ++id) alive[id] = v.live->alive(id);
+  WriteVec(out, alive);
   const std::vector<uint32_t> cache_ids(v.cache->ids().begin(),
                                         v.cache->ids().end());
   WriteVec(out, cache_ids);
@@ -97,25 +100,30 @@ Result<std::unique_ptr<GtsIndex>> GtsIndex::Load(const std::string& path,
   auto tree = std::make_shared<TreeTables>();
   auto live = std::make_shared<Liveness>();
   uint64_t rebuild_count = 0;
+  std::vector<uint8_t> alive;
   std::vector<uint32_t> cache_ids;
   if (!ReadPod(in, &tree->height) || !ReadPod(in, &tree->indexed_count) ||
       !ReadPod(in, &live->alive_count) ||
       !ReadPod(in, &live->tombstones_in_tree) ||
       !ReadPod(in, &rebuild_count) || !ReadVec(in, &tree->node_list) ||
       !ReadVec(in, &tree->tl_object) || !ReadVec(in, &tree->tl_dis) ||
-      !ReadVec(in, &live->alive) || !ReadVec(in, &cache_ids)) {
+      !ReadVec(in, &alive) || !ReadVec(in, &cache_ids)) {
     return Status::InvalidArgument("corrupt index body");
   }
 
   // Structural validation before accepting the file.
   const uint32_t n = data.value().size();
-  if (live->alive.size() != n ||
+  if (alive.size() != n ||
       tree->tl_object.size() != tree->tl_dis.size() ||
       tree->tl_object.size() != tree->indexed_count ||
       tree->indexed_count > n || live->alive_count > n ||
       tree->node_list.size() !=
           TotalNodes(tree->height, options.node_capacity) + 1) {
     return Status::InvalidArgument("index file fails structural validation");
+  }
+  live->bits.resize((n + 63) / 64);
+  for (uint32_t id = 0; id < n; ++id) {
+    if (alive[id] != 0) live->MarkAlive(id);
   }
   for (const uint32_t id : tree->tl_object) {
     if (id >= n) return Status::InvalidArgument("table list id out of range");
@@ -128,7 +136,7 @@ Result<std::unique_ptr<GtsIndex>> GtsIndex::Load(const std::string& path,
   }
   auto cache = std::make_shared<CacheList>();
   for (const uint32_t id : cache_ids) {
-    if (id >= n || !live->alive[id]) {
+    if (id >= n || !live->alive(id)) {
       return Status::InvalidArgument("cache id out of range");
     }
     cache->Add(id, data.value().ObjectBytes(id));

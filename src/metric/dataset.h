@@ -5,12 +5,13 @@
 #ifndef GTS_METRIC_DATASET_H_
 #define GTS_METRIC_DATASET_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
@@ -24,12 +25,39 @@ enum class DataKind {
 /// Columnar object container. Objects are addressed by dense uint32 ids in
 /// insertion order. Append-only; removal is handled above this layer
 /// (tombstones / compaction via Slice()).
+///
+/// Copies share storage. Every copy points at one append-only payload
+/// through a shared_ptr, so a copy is O(1) whatever the size, and an append
+/// is amortized O(1):
+///   - A copy whose size equals the payload's committed count is the
+///     payload's *tip*. The tip appends in place while capacity allows,
+///     claiming the slot with one compare-exchange on that count.
+///   - Any other copy, or a tip at capacity, first moves to a fresh payload
+///     of doubled capacity that holds its own objects.
+/// A slot below any copy's size is never written again, so an append to
+/// one copy never changes what another copy reads: copies behave as
+/// independent values. This is what lets GtsIndex publish each streaming
+/// insert as a new version without copying the dataset.
+///
+/// Thread contract: one copy may be read (and copied) on any number of
+/// threads while another copy of the same payload appends, which is how
+/// readers of a published index version run beside the writer appending
+/// to its successor. One Dataset object is still not safe to append to
+/// from two threads, nor to read while it appends.
 class Dataset {
  public:
   /// Creates an empty vector dataset with the given dimensionality.
   static Dataset FloatVectors(uint32_t dim);
   /// Creates an empty string dataset.
   static Dataset Strings();
+
+  /// O(1): the copy shares the payload (see the class comment).
+  Dataset(const Dataset&) = default;
+  Dataset& operator=(const Dataset&) = default;
+  /// A moved-from dataset is empty (size 0, same kind and dim) and may be
+  /// appended to.
+  Dataset(Dataset&& other) noexcept;
+  Dataset& operator=(Dataset&& other) noexcept;
 
   DataKind kind() const { return kind_; }
   uint32_t dim() const { return dim_; }
@@ -46,8 +74,16 @@ class Dataset {
 
   /// Read access. Calling the accessor that does not match kind() is a
   /// programming error (asserts in debug builds).
-  std::span<const float> Vector(uint32_t i) const;
-  std::string_view String(uint32_t i) const;
+  std::span<const float> Vector(uint32_t i) const {
+    assert(kind_ == DataKind::kFloatVector);
+    assert(i < size_);
+    return {flat_ + size_t{i} * dim_, dim_};
+  }
+  std::string_view String(uint32_t i) const {
+    assert(kind_ == DataKind::kString);
+    assert(i < size_);
+    return {chars_ + offsets_[i], size_t{offsets_[i + 1] - offsets_[i]}};
+  }
 
   /// True when objects [begin, end) have no NaN or infinite coordinate
   /// (always true for strings). The index and the serving plane reject
@@ -72,14 +108,32 @@ class Dataset {
   static Result<Dataset> Deserialize(std::istream& in);
 
  private:
-  Dataset(DataKind kind, uint32_t dim) : kind_(kind), dim_(dim) {}
+  struct Payload;  // dataset.cc
+
+  Dataset(DataKind kind, uint32_t dim);
+  /// Chars the string objects of this copy occupy (0 for vectors).
+  uint64_t CharsUsed() const {
+    return kind_ == DataKind::kString ? offsets_[size_] : 0;
+  }
+  /// Makes this copy the tip of a payload with room for one more object of
+  /// `chars` chars and claims slot size_. Returns the payload this copy
+  /// left, if it moved: the caller keeps it alive until the new object is
+  /// copied in, since the source may view it.
+  [[nodiscard]] std::shared_ptr<Payload> ClaimSlot(uint64_t chars);
+  /// Moves this copy to a fresh payload with room for `slots` objects and
+  /// `chars` chars, holding this copy's objects. Returns the one it left.
+  std::shared_ptr<Payload> MoveToPayload(uint64_t slots, uint64_t chars);
+  /// Empties this copy, keeping its kind and dim.
+  void Clear();
 
   DataKind kind_;
   uint32_t dim_ = 0;
   uint32_t size_ = 0;
-  std::vector<float> flat_;        // kFloatVector payload, size_ * dim_
-  std::vector<uint32_t> offsets_;  // kString: size_ + 1 offsets into chars_
-  std::string chars_;              // kString payload
+  std::shared_ptr<Payload> payload_;  // null while nothing is allocated
+  // Cached from payload_, so reading an object is one load plus an index.
+  const float* flat_ = nullptr;        // kFloatVector: dim_ floats a slot
+  const uint32_t* offsets_ = nullptr;  // kString: size_ + 1 offsets
+  const char* chars_ = nullptr;        // kString payload
 };
 
 }  // namespace gts

@@ -3,6 +3,9 @@
 // round-trip, and reject corrupt or mismatched files.
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,9 +23,9 @@ class GtsSerializeTest : public ::testing::Test {
   void SetUp() override {
     // One file per test: ctest runs the cases as parallel processes, and
     // a shared path lets one case's TearDown delete another's index.
-    path_ = ::testing::TempDir() + "/gts_index_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".bin";
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ::testing::TempDir() + "/gts_index_" + SafeName(name) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -144,13 +147,84 @@ TEST_F(GtsSerializeTest, RejectsGarbageAndTruncation) {
   EXPECT_FALSE(GtsIndex::Load(path_, metric.get(), &device_).ok());
 }
 
+// Liveness is a bitset in memory and one byte per object on disk: the ids
+// on both sides of a word boundary (63, 64) and the last id of the partial
+// last word (299 of 300) stay dead through SaveTo and Load.
+TEST_F(GtsSerializeTest, TombstonesAtBitsetWordEdgesSurviveRoundTrip) {
+  auto metric = MakeMetric(MetricKind::kL2);
+  Dataset data = GenerateDataset(DatasetId::kTLoc, 300, 5);
+  auto built = GtsIndex::Build(std::move(data), metric.get(), &device_,
+                               GtsOptions{});
+  ASSERT_TRUE(built.ok());
+  const std::vector<uint32_t> dead = {63, 64, 299};
+  for (const uint32_t id : dead) ASSERT_TRUE(built.value()->Remove(id).ok());
+  ASSERT_TRUE(built.value()->SaveTo(path_).ok());
+
+  gpu::Device device2;
+  auto loaded = GtsIndex::Load(path_, metric.get(), &device2);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  GtsIndex& index = *loaded.value();
+  EXPECT_EQ(index.alive_size(), 297u);
+  for (uint32_t id = 0; id < 300; ++id) {
+    const bool is_dead = std::find(dead.begin(), dead.end(), id) != dead.end();
+    EXPECT_EQ(index.IsAlive(id), !is_dead) << "id " << id;
+  }
+  // Each dead object, as a query, is in neither of its own answers.
+  const Dataset queries = index.data().Slice(dead);
+  const std::vector<float> radii(queries.size(), 0.0f);
+  auto range = index.RangeQueryBatch(queries, radii);
+  auto knn = index.KnnQueryBatch(queries, 8);
+  ASSERT_TRUE(range.ok() && knn.ok());
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    for (const uint32_t id : range.value()[q]) EXPECT_TRUE(index.IsAlive(id));
+    for (const Neighbor& nb : knn.value()[q]) EXPECT_TRUE(index.IsAlive(nb.id));
+  }
+}
+
+// A string offset larger than the next one would give String(i) an
+// underflowed length, and Load would read far past the chars (computing
+// the covering ball). Load must reject it instead.
+TEST_F(GtsSerializeTest, CorruptStringOffsetIsRejected) {
+  auto metric = MakeDatasetMetric(DatasetId::kWords);
+  Dataset data = GenerateDataset(DatasetId::kWords, 300, 5);
+  auto built = GtsIndex::Build(std::move(data), metric.get(), &device_,
+                               GtsOptions{});
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built.value()->SaveTo(path_).ok());
+  std::string contents;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    contents.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // Magic and options (44 bytes), dataset header (12), empty float array
+  // (8), offsets count (8), then the 301 offsets.
+  constexpr size_t kOffsets = 44 + 12 + 8 + 8;
+  for (const uint32_t i : {0u, 10u, 150u, 299u, 300u}) {
+    std::string mutant = contents;
+    const uint32_t huge = 0x7ffffff0u;
+    std::memcpy(mutant.data() + kOffsets + 4 * i, &huge, sizeof(huge));
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    auto loaded = GtsIndex::Load(path_, metric.get(), &device_);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "offset " << i;
+  }
+}
+
+class GtsSerializeSweepTest
+    : public GtsSerializeTest,
+      public ::testing::WithParamInterface<DatasetId> {};
+
 // A length field is never trusted: 2^44 written over each 4-byte offset of
 // a saved index in turn (which hits every length field) must make Load
 // return, with the index or a Status, instead of attempting a 2^44-element
-// allocation.
-TEST_F(GtsSerializeTest, HugeValueAtEveryOffsetLoadsOrIsRejected) {
-  auto metric = MakeMetric(MetricKind::kL2);
-  Dataset data = GenerateDataset(DatasetId::kTLoc, 300, 5);
+// allocation. On a string index the sweep also hits every string offset.
+TEST_P(GtsSerializeSweepTest, HugeValueAtEveryOffsetLoadsOrIsRejected) {
+  auto metric = MakeDatasetMetric(GetParam());
+  Dataset data = GenerateDataset(GetParam(), 300, 5);
   auto built = GtsIndex::Build(std::move(data), metric.get(), &device_,
                                GtsOptions{});
   ASSERT_TRUE(built.ok());
@@ -181,6 +255,12 @@ TEST_F(GtsSerializeTest, HugeValueAtEveryOffsetLoadsOrIsRejected) {
   }
   EXPECT_GT(outcomes[StatusCode::kInvalidArgument], 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Kinds, GtsSerializeSweepTest,
+                         ::testing::Values(DatasetId::kTLoc, DatasetId::kWords),
+                         [](const auto& info) {
+                           return SafeName(GetDatasetSpec(info.param).name);
+                         });
 
 TEST_F(GtsSerializeTest, MissingFileIsNotFound) {
   auto metric = MakeMetric(MetricKind::kL2);

@@ -3,6 +3,7 @@
 // overflow and tombstone ratio, and batch reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 
@@ -188,6 +189,36 @@ TEST_F(GtsUpdateTest, RemovedObjectsNeverReturned) {
   ASSERT_TRUE(knn.ok());
   for (const auto& res : knn.value()) {
     for (const auto& nb : res) EXPECT_TRUE(index_->IsAlive(nb.id));
+  }
+}
+
+// Liveness is one bit per object. The ids on both sides of a word boundary
+// (63, 64) and the last id of the partial last word (299 of 300) must each
+// read dead on every path once tombstoned.
+TEST_F(GtsUpdateTest, TombstonesAtBitsetWordEdgesAreDead) {
+  Build(300);
+  const std::vector<uint32_t> dead = {63, 64, 299};
+  for (const uint32_t id : dead) ASSERT_TRUE(index_->Remove(id).ok());
+  EXPECT_EQ(index_->rebuild_count(), 0u);  // tombstones in the tree
+  EXPECT_EQ(index_->alive_size(), 297u);
+  for (uint32_t id = 0; id < 300; ++id) {
+    const bool is_dead = std::find(dead.begin(), dead.end(), id) != dead.end();
+    EXPECT_EQ(index_->IsAlive(id), !is_dead) << "id " << id;
+  }
+
+  // Each dead object, as a query, finds only alive objects, itself never.
+  const Dataset queries = index_->data().Slice(dead);
+  const float r = CalibrateRadius(index_->data(), *metric_, 0.05, 100, 7);
+  const std::vector<float> radii(queries.size(), r);
+  auto range = index_->RangeQueryBatch(queries, radii);
+  auto knn = index_->KnnQueryBatch(queries, 8);
+  ASSERT_TRUE(range.ok() && knn.ok());
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(range.value()[q], AliveWithin(queries, q, r)) << "query " << q;
+    ASSERT_EQ(knn.value()[q].size(), 8u);
+    for (const Neighbor& nb : knn.value()[q]) {
+      EXPECT_TRUE(index_->IsAlive(nb.id)) << "query " << q << " id " << nb.id;
+    }
   }
 }
 

@@ -63,12 +63,13 @@ struct StressEnv {
   std::vector<std::vector<float>> stable_dist;
 };
 
-StressEnv MakeStressEnv(uint64_t seed, uint64_t cache_capacity_bytes) {
+StressEnv MakeStressEnv(uint64_t seed, uint64_t cache_capacity_bytes,
+                        DatasetId dataset = DatasetId::kTLoc) {
   StressEnv env;
-  env.stable = GenerateDataset(DatasetId::kTLoc, kStable, seed);
-  env.churn = GenerateDataset(DatasetId::kTLoc, 256, seed + 1);
-  env.metric = MakeDatasetMetric(DatasetId::kTLoc);
-  env.verify = MakeDatasetMetric(DatasetId::kTLoc);
+  env.stable = GenerateDataset(dataset, kStable, seed);
+  env.churn = GenerateDataset(dataset, 256, seed + 1);
+  env.metric = MakeDatasetMetric(dataset);
+  env.verify = MakeDatasetMetric(dataset);
   env.device = std::make_unique<gpu::Device>();
   env.queries = SampleQueries(env.stable, kQueryBatch, seed + 2);
 
@@ -240,6 +241,30 @@ TEST(ServeConcurrencyStress, ReadersVsStreamingWriters) {
 
   // Post-mortem determinism: with the writers quiesced, the index must
   // still answer exactly (every stable object within range present).
+  auto final_range = env.index->RangeQueryBatch(env.queries, env.radii);
+  ASSERT_TRUE(final_range.ok());
+  CheckRange(env, final_range.value(), &failures);
+  failures.ExpectEmpty();
+}
+
+// The same on a string corpus: each insert appends a string in place to the
+// dataset payload the readers' versions share, so its offsets and chars
+// writes run beside the readers' edit-distance scans of older versions.
+TEST(ServeConcurrencyStress, ReadersVsStreamingWritersWords) {
+  StressEnv env = MakeStressEnv(111, /*cache_capacity_bytes=*/256,
+                                DatasetId::kWords);
+  FailureLog failures;
+
+  constexpr int kReaders = 4;
+  std::vector<std::thread> threads;
+  threads.reserve(kReaders + 1);
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back(ReaderLoop, &env, /*iters=*/1, &failures);
+  }
+  threads.emplace_back(WriterLoop, &env, /*iters=*/120, 777, &failures);
+  for (std::thread& th : threads) th.join();
+  failures.ExpectEmpty();
+
   auto final_range = env.index->RangeQueryBatch(env.queries, env.radii);
   ASSERT_TRUE(final_range.ok());
   CheckRange(env, final_range.value(), &failures);
