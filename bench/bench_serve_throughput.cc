@@ -23,17 +23,6 @@
 // on host scheduling — CI gates them warn-only, unlike the modeled
 // classic series.
 //
-// `--router` runs the multi-tenant phase on T-Loc: four tenant indexes
-// (disjoint quarters of the dataset) behind one serve::SessionRouter with
-// a shared 8-thread pool, per-tenant inflight quotas, and an 8x-skewed
-// load (tenant 0 pours 8x the light tenants' traffic). Recorded as
-// `gts-serve-router/...` series: the per-tenant fairness ratio (minimum
-// light-tenant completion ratio — the headline isolation number), overall
-// modeled throughput, and the deadline-miss rate of the same offered load
-// under EDF vs FIFO flush composition (miss percent in the latency fields
-// so growth warns). Like the stream series, these depend on host
-// scheduling and gate warn-only.
-//
 // `--sharded` runs the scatter/gather phase on T-Loc: the corpus
 // partitioned round-robin over 1/2/4 GtsIndex shards behind one
 // serve::ShardedFrontend (shared 8-thread pool), each shard on its OWN
@@ -94,7 +83,6 @@
 #include "serve/query_executor.h"
 #include "serve/query_session.h"
 #include "serve/request.h"
-#include "serve/session_router.h"
 #include "serve/sharded_frontend.h"
 
 using namespace gts;
@@ -445,262 +433,6 @@ void RunStreamingPhase(const bench::BenchEnv& env, GtsIndex* index) {
   std::printf("  streamed/pre-batched modeled throughput: %.3fx "
               "(coalescing target >= 0.9x)\n\n",
               ratio);
-}
-
-// ---------------------------------------------------------------------------
-// Router (multi-tenant) phase.
-// ---------------------------------------------------------------------------
-
-constexpr uint32_t kRouterTenants = 4;
-constexpr uint32_t kRouterSkew = 8;  ///< heavy tenant offers this x light load
-constexpr uint32_t kRouterLightReads = 256;
-constexpr uint32_t kRouterThreads = 8;   ///< shared pool across all tenants
-constexpr uint32_t kRouterBatch = 16;    ///< per-tenant flush budget
-/// Per-tenant admission bound. Deep on purpose: the EDF-vs-FIFO phase
-/// needs a backlog many flushes deep, so the FIFO latency of a backlogged
-/// read (~queue/batch flush cycles) sits far above an EDF queue-jump
-/// (~one flush cycle) and the tight deadline between them has margin
-/// against host-speed drift. Router traffic is kNN (the expensive read op)
-/// for the same reason: cheap range reads drain faster than one submitter
-/// can pour them, and a backlog never forms.
-constexpr uint32_t kRouterQueue = 512;
-constexpr uint32_t kRouterQuota = 64;    ///< per-tenant inflight quota
-/// Every Nth read is urgent. Sparse on purpose: a full backlog then holds
-/// ~kRouterQueue/kRouterTightEvery urgent reads — about one flush budget —
-/// so EDF can serve each urgent read within a flush cycle or two.
-constexpr uint32_t kRouterTightEvery = 16;
-constexpr uint32_t kRouterPaceWindow = 32;  ///< light-tenant inflight window
-
-struct RouterRun {
-  serve::RouterStats stats;
-  double sim_seconds = 0.0;
-  /// Minimum completion ratio over the light tenants (1..N-1): the
-  /// fraction of each well-behaved tenant's traffic that completed while
-  /// tenant 0 was saturating. 1.0 = perfect isolation.
-  double fairness = 1.0;
-  uint64_t tight_micros = 0;   ///< the run's self-calibrated tight deadline
-  uint64_t tight_submitted = 0;  ///< urgent reads tagged with it
-  /// Urgent reads resolved late, as a percent of urgent reads submitted.
-  /// Exact: urgent reads are the only explicit-deadline submissions of
-  /// the run (the rest ride the far-out implicit slack, which is not
-  /// miss-counted), so the session's deadline_missed counter counts them
-  /// and nothing else.
-  double UrgentMissPct() const {
-    return tight_submitted == 0
-               ? 0.0
-               : 100.0 * static_cast<double>(stats.deadline_missed) /
-                     static_cast<double>(tight_submitted);
-  }
-};
-
-/// One tenant's submission loop. The heavy tenant (0) pours its reads
-/// open-loop; light tenants pace themselves a window at a time so their
-/// offered load stays inside their own quota — the skew is the point: a
-/// well-behaved tenant must not be penalized for an aggressor's burst.
-///
-/// With `deadlines` set, the heavy tenant self-calibrates mid-run: the
-/// first half of its reads go out deadline-free and fill the backlog;
-/// at the midpoint it reads its own live submit→resolve median from the
-/// router and tags every kRouterTightEvery-th remaining read with HALF
-/// that median (urgent: below the backlogged FIFO latency, far above an
-/// EDF queue-jump of ~queue/batch fewer flush waits). Every other read
-/// stays deadline-free — patient for the scheduler (the phase parks the
-/// implicit slack far out) and excluded from deadline_missed, which
-/// keeps UrgentMissPct exact. Calibrating inside the run, against the
-/// run's own steady state, keeps the EDF-vs-FIFO comparison immune to
-/// run-to-run host drift.
-void SubmitTenantLoad(serve::SessionRouter* router, uint32_t tenant,
-                      const Dataset& queries, uint32_t reads, bool paced,
-                      bool deadlines, RouterRun* run) {
-  std::vector<std::future<serve::Response>> pending;
-  pending.reserve(paced ? kRouterPaceWindow : reads);
-  uint64_t tight_micros = 0;
-  for (uint32_t i = 0; i < reads; ++i) {
-    if (deadlines && i == reads / 2) {
-      // By the midpoint the submitter has been blocked behind the full
-      // queue, so at least reads/2 - kRouterQueue completions back the
-      // median — a backlogged figure, not a warm-up one.
-      const double p50_ms =
-          router->stats().tenants[tenant].p50_latency_ms;
-      tight_micros =
-          std::max<uint64_t>(200, static_cast<uint64_t>(p50_ms * 500.0));
-      run->tight_micros = tight_micros;
-    }
-    uint64_t deadline = 0;
-    if (tight_micros > 0 && i % kRouterTightEvery == 0) {
-      deadline = tight_micros;
-      ++run->tight_submitted;
-    }
-    pending.push_back(router->Submit(
-        serve::Request::Knn(queries, i % queries.size(), kDefaultK, deadline)
-            .ForTenant(tenant)));
-    if (paced && pending.size() >= kRouterPaceWindow) {
-      for (auto& f : pending) (void)f.get();
-      pending.clear();
-    }
-  }
-  for (auto& f : pending) (void)f.get();
-}
-
-/// Runs the 4-tenant skewed load (one submitter thread per tenant) and
-/// snapshots the router when everything drained. `deadlines` enables the
-/// heavy tenant's self-calibrated urgent tagging (see SubmitTenantLoad).
-RouterRun RunRouterLoad(const bench::BenchEnv& env,
-                        const std::vector<GtsIndex*>& tenants,
-                        const std::vector<Dataset>& queries,
-                        const serve::RouterOptions& options, bool deadlines) {
-  serve::SessionRouter router(tenants, options);
-  RouterRun run;
-  const double sim0 = env.device->clock().ElapsedSeconds();
-  std::vector<std::thread> submitters;
-  submitters.reserve(kRouterTenants);
-  for (uint32_t t = 0; t < kRouterTenants; ++t) {
-    const uint32_t reads =
-        t == 0 ? kRouterLightReads * kRouterSkew : kRouterLightReads;
-    submitters.emplace_back([&, t, reads] {
-      SubmitTenantLoad(&router, t, queries[t], reads,
-                       /*paced=*/t != 0, /*deadlines=*/deadlines && t == 0,
-                       &run);
-    });
-  }
-  for (std::thread& th : submitters) th.join();
-  router.Drain();
-  run.sim_seconds = env.device->clock().ElapsedSeconds() - sim0;
-  run.stats = router.stats();
-  for (uint32_t t = 1; t < kRouterTenants; ++t) {
-    run.fairness = std::min(run.fairness, run.stats.CompletionRatio(t));
-  }
-  return run;
-}
-
-void RecordRouter(const bench::BenchEnv& env, std::string_view op,
-                  std::string_view config, uint64_t samples, double p50_ms,
-                  double p95_ms, double throughput) {
-  bench::BenchResult res;
-  res.name = bench::SeriesName("gts-serve-router", op, config);
-  res.dataset = env.spec->name;
-  res.samples = samples;
-  res.p50_latency_ms = p50_ms;
-  res.p95_latency_ms = p95_ms;
-  res.throughput_per_min = throughput;
-  bench::GlobalReporter().AddResult(res);
-}
-
-void RunRouterPhase(const bench::BenchEnv& env) {
-  // Four tenant indexes over disjoint quarters of the dataset, sharing the
-  // environment's device (and therefore its simulated clock).
-  const uint32_t per_tenant = env.data.size() / kRouterTenants;
-  std::vector<std::unique_ptr<GtsIndex>> owned;
-  std::vector<GtsIndex*> tenants;
-  std::vector<Dataset> queries;
-  GtsOptions options;
-  options.node_capacity = env.Context().gts_node_capacity;
-  options.seed = env.Context().seed;
-  for (uint32_t t = 0; t < kRouterTenants; ++t) {
-    std::vector<uint32_t> ids(per_tenant);
-    std::iota(ids.begin(), ids.end(), t * per_tenant);
-    auto built = GtsIndex::Build(env.data.Slice(ids), env.metric.get(),
-                                 env.device.get(), options);
-    if (!built.ok()) {
-      std::printf("router phase: tenant %u build failed: %s\n", t,
-                  built.status().ToString().c_str());
-      return;
-    }
-    owned.push_back(std::move(built).value());
-    tenants.push_back(owned.back().get());
-    queries.push_back(SampleQueries(owned.back()->data(), 64, 5 + t));
-  }
-
-  serve::RouterOptions router_options;
-  router_options.session.max_batch = kRouterBatch;
-  router_options.session.max_wait_micros = 200;
-  router_options.session.max_queue = kRouterQueue;
-  router_options.executor_threads = kRouterThreads;
-  router_options.max_inflight_per_tenant = kRouterQuota;
-
-  std::printf("%s router (multi-tenant): %u tenants x %u objects, heavy "
-              "tenant %ux, kNN k=%d, budget %u, quota %u, %u shared "
-              "threads\n",
-              env.spec->name, kRouterTenants, per_tenant, kRouterSkew,
-              kDefaultK, kRouterBatch, kRouterQuota, kRouterThreads);
-
-  // Phase A — fairness under skew: reject admission + quotas; the heavy
-  // tenant's excess is rejected, the light tenants must ride unharmed.
-  router_options.session.admission = serve::AdmissionPolicy::kReject;
-  const RouterRun fair = RunRouterLoad(env, tenants, queries,
-                                       router_options, /*deadlines=*/false);
-  double light_p50 = 0.0, light_p95 = 0.0;
-  uint64_t attempts = 0;
-  for (uint32_t t = 0; t < kRouterTenants; ++t) {
-    const serve::TenantStats& ts = fair.stats.tenants[t];
-    attempts += ts.submitted + ts.rejected + ts.quota_rejected;
-    if (t > 0) {
-      light_p50 = std::max(light_p50, ts.p50_latency_ms);
-      light_p95 = std::max(light_p95, ts.p95_latency_ms);
-    }
-  }
-  const std::string config = "tenants=" + std::to_string(kRouterTenants) +
-                             ",skew=" + std::to_string(kRouterSkew);
-  RecordRouter(env, "fairness", config, attempts, light_p50, light_p95,
-               fair.fairness);
-  RecordRouter(env, "knn", config, fair.stats.completed,
-               fair.stats.tenants[0].p50_latency_ms,
-               fair.stats.tenants[0].p95_latency_ms,
-               bench::ThroughputPerMin(
-                   static_cast<uint32_t>(fair.stats.completed),
-                   fair.sim_seconds));
-
-  // Phase B — EDF vs FIFO at the same offered load: block admission and
-  // no quota (zero rejections, so both runs serve identical work and the
-  // heavy tenant builds a real queue-deep backlog). Each run
-  // self-calibrates its urgent deadline against its own mid-run median
-  // (see SubmitTenantLoad), so the two orders are compared under their
-  // own steady state and the comparison is immune to run-to-run drift.
-  router_options.max_inflight_per_tenant = 0;
-  router_options.session.admission = serve::AdmissionPolicy::kBlock;
-  // The deadline-free warm-up half must not age into the urgency race
-  // (the production default slack is 100 ms — this phase's whole point
-  // is measuring the urgent jump over patient traffic), so park the
-  // implicit slack deadline far beyond any run.
-  router_options.session.no_deadline_slack_micros = 600'000'000;
-  router_options.session.order = serve::FlushOrder::kFifo;
-  const RouterRun fifo = RunRouterLoad(env, tenants, queries,
-                                       router_options, /*deadlines=*/true);
-  router_options.session.order = serve::FlushOrder::kEdf;
-  const RouterRun edf = RunRouterLoad(env, tenants, queries,
-                                      router_options, /*deadlines=*/true);
-
-  const std::string miss_config = config + ",b=" +
-                                  std::to_string(kRouterBatch);
-  // Urgent-miss percent rides in the latency fields (growth warns — the
-  // right direction), modeled throughput in its own field; see the
-  // streaming phase's reject-rate series for the precedent.
-  RecordRouter(env, "miss-fifo", miss_config, fifo.tight_submitted,
-               fifo.UrgentMissPct(), fifo.UrgentMissPct(),
-               bench::ThroughputPerMin(
-                   static_cast<uint32_t>(fifo.stats.completed),
-                   fifo.sim_seconds));
-  RecordRouter(env, "miss-edf", miss_config, edf.tight_submitted,
-               edf.UrgentMissPct(), edf.UrgentMissPct(),
-               bench::ThroughputPerMin(
-                   static_cast<uint32_t>(edf.stats.completed),
-                   edf.sim_seconds));
-
-  std::printf("  fairness: min light-tenant completion ratio %.3f "
-              "(target >= 0.8); heavy tenant completed %llu of %llu "
-              "attempts\n",
-              fair.fairness,
-              static_cast<unsigned long long>(fair.stats.tenants[0].completed),
-              static_cast<unsigned long long>(
-                  fair.stats.tenants[0].submitted +
-                  fair.stats.tenants[0].rejected +
-                  fair.stats.tenants[0].quota_rejected));
-  std::printf("  urgent-read deadline misses: FIFO %.2f%% (tight=%llu us), "
-              "EDF %.2f%% (tight=%llu us) — EDF target: lower\n\n",
-              fifo.UrgentMissPct(),
-              static_cast<unsigned long long>(fifo.tight_micros),
-              edf.UrgentMissPct(),
-              static_cast<unsigned long long>(edf.tight_micros));
 }
 
 // ---------------------------------------------------------------------------
@@ -1196,20 +928,16 @@ void RunReplicaFaultsPhase(const bench::BenchEnv& env) {
 
 int main(int argc, char** argv) {
   bool streaming = false;
-  bool router = false;
   bool sharded = false;
   bool mvcc = false;
   bool faults = false;
   for (int i = 1; i < argc;) {
     if (std::strcmp(argv[i], "--streaming") == 0 ||
-        std::strcmp(argv[i], "--router") == 0 ||
         std::strcmp(argv[i], "--sharded") == 0 ||
         std::strcmp(argv[i], "--mvcc") == 0 ||
         std::strcmp(argv[i], "--faults") == 0) {
       if (std::strcmp(argv[i], "--streaming") == 0) {
         streaming = true;
-      } else if (std::strcmp(argv[i], "--router") == 0) {
-        router = true;
       } else if (std::strcmp(argv[i], "--sharded") == 0) {
         sharded = true;
       } else if (std::strcmp(argv[i], "--faults") == 0) {
@@ -1299,9 +1027,6 @@ int main(int argc, char** argv) {
 
     if (streaming && id == DatasetId::kTLoc) {
       RunStreamingPhase(env, index.get());
-    }
-    if (router && id == DatasetId::kTLoc) {
-      RunRouterPhase(env);
     }
     if (sharded && id == DatasetId::kTLoc) {
       RunShardedPhase(env);

@@ -239,8 +239,8 @@ class GtsIndex {
     // accessors (which report the current version at each call), these
     // read the snapshot's own version and are therefore stable and
     // mutually consistent with each other and with the snapshot's queries
-    // under any concurrent updates. Multi-index front ends
-    // (serve::SessionRouter) read per-tenant state this way.
+    // under any concurrent updates. The sharded frontend plans a batch
+    // against one snapshot per shard this way.
 
     /// Total objects ever stored (including tombstoned ones).
     uint32_t size() const;

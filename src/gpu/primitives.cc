@@ -4,26 +4,6 @@
 
 namespace gts::gpu {
 
-void SortPairsByKey(Device* device, std::span<double> keys,
-                    std::span<uint32_t> values) {
-  assert(keys.size() == values.size());
-  const size_t n = keys.size();
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return keys[a] < keys[b];
-  });
-  std::vector<double> keys_out(n);
-  std::vector<uint32_t> values_out(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys_out[i] = keys[perm[i]];
-    values_out[i] = values[perm[i]];
-  }
-  std::copy(keys_out.begin(), keys_out.end(), keys.begin());
-  std::copy(values_out.begin(), values_out.end(), values.begin());
-  device->clock().ChargeSort(n);
-}
-
 void SortTableByKey(Device* device, std::span<double> keys,
                     std::span<uint32_t> objects, std::span<float> dis) {
   assert(keys.size() == objects.size() && keys.size() == dis.size());

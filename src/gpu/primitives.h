@@ -1,7 +1,8 @@
-// Device-wide parallel primitives of the simulator: ParallelFor,
-// encode-sort (the paper's global partitioning workhorse), reductions,
-// scans and top-k selection. Each primitive executes on the host and
-// charges the device clock according to the lane-parallel model.
+// Device-wide parallel primitives of the simulator: distance-kernel
+// charging, the table sort by encoded key (the paper's global
+// partitioning workhorse), reductions, scans and top-k selection. Each
+// primitive executes on the host and charges the device clock according
+// to the lane-parallel model.
 #ifndef GTS_GPU_PRIMITIVES_H_
 #define GTS_GPU_PRIMITIVES_H_
 
@@ -15,14 +16,6 @@
 #include "metric/distance.h"
 
 namespace gts::gpu {
-
-/// Executes fn(i) for i in [0, n) as one kernel of n work items costing
-/// `ops_per_item` elementary operations each.
-template <typename Fn>
-void ParallelFor(Device* device, uint64_t n, double ops_per_item, Fn&& fn) {
-  for (uint64_t i = 0; i < n; ++i) fn(i);
-  device->clock().ChargeKernel(n, static_cast<uint64_t>(ops_per_item * n));
-}
 
 /// Charges one kernel of distance computations whose elementary-op cost is
 /// measured from the metric's per-thread op counter (exact even while other
@@ -64,15 +57,12 @@ class KernelDistanceScope {
   DistanceStats start_;
 };
 
-/// Sorts `values` by `keys` (both permuted), charging a device sort.
-/// This is the global concurrent sort of Algorithm 3.
-void SortPairsByKey(Device* device, std::span<double> keys,
-                    std::span<uint32_t> values);
-
-/// Variant carrying the table list through the sort: permutes `objects` and
-/// `dis` together by ascending `keys`. The paper decodes distances back from
-/// the encoded keys; carrying the exact float values instead costs the same
-/// on the model and avoids decode rounding (DESIGN.md §5).
+/// The global concurrent sort of Algorithm 3, carrying the table list
+/// through it: permutes `keys`, `objects` and `dis` together by ascending
+/// `keys` (stable: equal keys keep their input order), charging a device
+/// sort. The paper decodes distances back from the encoded keys; carrying
+/// the exact float values instead costs the same on the model and avoids
+/// decode rounding (DESIGN.md §5).
 void SortTableByKey(Device* device, std::span<double> keys,
                     std::span<uint32_t> objects, std::span<float> dis);
 

@@ -61,7 +61,7 @@ class L2Metric final : public DistanceMetric {
       sum += diff * diff;
     }
     AddOps(va.size());
-    return static_cast<float>(std::sqrt(sum));
+    return static_cast<float>(std::sqrt(kernels::detail::ClearSign(sum)));
   }
 };
 
@@ -94,7 +94,7 @@ class AngularCosineMetric final : public DistanceMetric {
     // sqrt rounding can leave identical vectors a hair below cos = 1;
     // snap so the identity axiom holds exactly.
     if (c > 1.0 - 1e-12) c = 1.0;
-    return static_cast<float>(std::acos(c) / M_PI);
+    return static_cast<float>(kernels::detail::ClearSign(std::acos(c) / M_PI));
   }
 };
 

@@ -32,7 +32,7 @@ float CosFinish(double dot, double na, double nb) {
   if (denom <= 0.0) return (na == nb) ? 0.0f : 1.0f;
   double c = std::clamp(dot / denom, -1.0, 1.0);
   if (c > 1.0 - 1e-12) c = 1.0;
-  return static_cast<float>(std::acos(c) / M_PI);
+  return static_cast<float>(ClearSign(std::acos(c) / M_PI));
 }
 
 }  // namespace detail
@@ -71,7 +71,7 @@ void L2Block_Scalar(const float* q, const float* block, uint32_t dim,
       const double diff = q[d] - block[d * SoaPack::kLane + l];
       sum += diff * diff;
     }
-    out[l] = static_cast<float>(std::sqrt(sum));
+    out[l] = static_cast<float>(std::sqrt(detail::ClearSign(sum)));
   }
 }
 
@@ -108,7 +108,7 @@ void L2Gather_Scalar(const float* q, const float* const* rows, uint32_t dim,
       const double diff = q[d] - row[d];
       sum += diff * diff;
     }
-    out[l] = static_cast<float>(std::sqrt(sum));
+    out[l] = static_cast<float>(std::sqrt(detail::ClearSign(sum)));
   }
 }
 

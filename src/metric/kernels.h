@@ -17,6 +17,7 @@
 #ifndef GTS_METRIC_KERNELS_H_
 #define GTS_METRIC_KERNELS_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -86,6 +87,17 @@ namespace detail {
 /// Cosine epilogue shared by every tier (defined once, in kernels.cc, so all
 /// tiers run the same compiled code for the branchy scalar tail).
 float CosFinish(double dot, double na, double nb);
+
+/// `x` with its sign bit cleared. The L2 sum of squares and the cosine
+/// result are non-negative by construction, so this changes only a NaN's
+/// sign, which otherwise depends on a tier's operand order; every tier and
+/// the per-object metrics clear it, so a NaN reads the same bits on all of
+/// them. Not std::fabs: a compiler may drop a fabs whose argument it proves
+/// non-negative (acos's result), taking a NaN's sign as unspecified.
+inline double ClearSign(double x) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(x) &
+                               ~(uint64_t{1} << 63));
+}
 }  // namespace detail
 
 // --- Per-tier entry points (resolved by the dispatchers above; exposed so

@@ -111,9 +111,10 @@ inline void L2Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(lo, lo));
     acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(hi, hi));
   }
+  // The scalar tier's detail::ClearSign before sqrt, 4 lanes at a time.
   double sums[kLane];
-  _mm256_storeu_pd(sums, acc_lo);
-  _mm256_storeu_pd(sums + 4, acc_hi);
+  _mm256_storeu_pd(sums, Abs(acc_lo));
+  _mm256_storeu_pd(sums + 4, Abs(acc_hi));
   for (uint32_t l = 0; l < count; ++l) {
     out[l] = static_cast<float>(std::sqrt(sums[l]));
   }

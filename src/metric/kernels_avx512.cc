@@ -92,8 +92,9 @@ inline void L2Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     const __m512d dd = _mm512_cvtps_pd(diff);
     acc = _mm512_add_pd(acc, _mm512_mul_pd(dd, dd));
   }
+  // The scalar tier's detail::ClearSign before sqrt, 8 lanes at a time.
   double sums[kLane];
-  _mm512_storeu_pd(sums, acc);
+  _mm512_storeu_pd(sums, Abs(acc));
   for (uint32_t l = 0; l < count; ++l) {
     out[l] = static_cast<float>(std::sqrt(sums[l]));
   }

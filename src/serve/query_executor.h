@@ -39,13 +39,13 @@ struct ExecutorOptions {
 };
 
 /// One executor serves one index — or, constructed with a null index, acts
-/// as a *pool-only* executor: Submit and ShardBounds still work (all the
-/// session/router layers need), while the direct batch entry points return
+/// as a *pool-only* executor: Submit and ShardBounds still work (all a
+/// QuerySession needs), while the direct batch entry points return
 /// kInvalidArgument. A pool-only executor is how one worker pool is shared
-/// across many indexes (serve::SessionRouter's tenants). The executor
-/// itself is thread-safe: any number of caller threads may submit batches
-/// concurrently; shards from all in-flight batches share the same worker
-/// pool.
+/// across many indexes (serve::ShardedFrontend's replica sessions). The
+/// executor itself is thread-safe: any number of caller threads may submit
+/// batches concurrently; shards from all in-flight batches share the same
+/// worker pool.
 class QueryExecutor {
  public:
   /// `index` must outlive the executor; it may be null for a pool-only

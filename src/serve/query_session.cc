@@ -62,11 +62,6 @@ SessionStats QuerySession::stats() const {
   return out;
 }
 
-uint64_t QuerySession::inflight_reads() const {
-  MutexLock lock(&mu_);
-  return stats_.submitted - stats_.completed;
-}
-
 bool QuerySession::AdmitRead() {
   if (stop_) return false;
   if (reads_.size() < options_.max_queue) return true;
@@ -288,7 +283,7 @@ void QuerySession::DispatchLoop() {
 
     // Dynamic batching: wait for the batch to fill or the oldest entry's
     // max-wait expiry — unless already full, nudged, stopping, or a writer
-    // needs the gate to start counting. The oldest entry is found by scan:
+    // is queued (writes go first). The oldest entry is found by scan:
     // an EDF sort at a previous flush may have reordered the queue, so the
     // front is not necessarily the earliest arrival.
     if (reads_.size() < options_.max_batch && !flush_now_ && !stop_ &&
@@ -319,8 +314,7 @@ void QuerySession::DispatchLoop() {
     // path above pops the remaining deadline-free reads in their
     // documented submission order (a partial_sort's unspecified tail
     // would scramble them).
-    if (options_.order == FlushOrder::kEdf && queued_deadlines_ > 0 &&
-        take < reads_.size()) {
+    if (queued_deadlines_ > 0 && take < reads_.size()) {
       std::sort(reads_.begin(), reads_.end(),
                 [](const PendingRead& a, const PendingRead& b) {
                   if (a.deadline != b.deadline) return a.deadline < b.deadline;

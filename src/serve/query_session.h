@@ -17,13 +17,15 @@
 //    and resolves every future — all queries of one flush observe the same
 //    index version (cross-batch snapshot semantics).
 //  - Deadline-aware composition: each read submission may carry a
-//    `deadline_micros` target. Under the default earliest-deadline-first
-//    order a flush drains the most-urgent queued queries, not the oldest
-//    (FIFO remains the order among deadline-free submissions — which age
-//    via an implicit slack deadline, so urgent streams cannot starve
-//    them — and the whole-queue order under FlushOrder::kFifo). A query
-//    resolved after its deadline is still answered — the deadline shapes
-//    scheduling, it is not a timeout — but is counted in
+//    `deadline_micros` target. A flush drains the queued queries with the
+//    nearest deadlines, arrival order breaking ties (earliest deadline
+//    first). A deadline-free read participates with an implicit deadline
+//    of its arrival plus `no_deadline_slack_micros`: it yields to urgent
+//    work but cannot be starved by a sustained urgent stream, since its
+//    fixed absolute deadline eventually beats every later arrival's. With
+//    no explicit deadline queued this is arrival order and costs nothing.
+//    A query resolved after its deadline is still answered — the deadline
+//    shapes scheduling, it is not a timeout — but is counted in
 //    SessionStats::deadline_missed.
 //  - Admission control: at most `max_queue` read queries may be queued.
 //    An overflowing submission is either rejected immediately (its future
@@ -72,22 +74,6 @@ enum class AdmissionPolicy {
   kBlock,   ///< backpressure: the submitter blocks until space frees
 };
 
-/// Order in which queued reads are drawn into flush batches.
-enum class FlushOrder {
-  /// Earliest deadline first: a flush drains the queued reads with the
-  /// nearest deadlines, arrival order breaking ties. A deadline-free
-  /// read participates with an implicit deadline of its arrival plus
-  /// SessionOptions::no_deadline_slack_micros — it yields to urgent work
-  /// but cannot be starved by a sustained urgent stream (its fixed
-  /// absolute deadline eventually beats every later arrival's). With no
-  /// explicit deadlines in the queue this degenerates to kFifo (and
-  /// costs nothing extra).
-  kEdf,
-  /// Strict arrival order, deadlines ignored for scheduling (they are
-  /// still tracked in SessionStats::deadline_missed).
-  kFifo,
-};
-
 struct SessionOptions {
   /// Flush when this many read queries are queued.
   uint32_t max_batch = 64;
@@ -96,10 +82,7 @@ struct SessionOptions {
   /// Admission bound: queued (not yet flushed) read queries.
   uint32_t max_queue = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kReject;
-  /// Flush composition order; kEdf unless deadline inversion is wanted
-  /// for comparison runs (the serve bench's EDF-vs-FIFO phase).
-  FlushOrder order = FlushOrder::kEdf;
-  /// Implicit EDF deadline for deadline-free reads (see FlushOrder::kEdf):
+  /// Implicit EDF deadline for deadline-free reads (see the file comment):
   /// the longest a deadline-free read can be out-ranked by urgent traffic.
   /// Missing the implicit deadline is not counted in deadline_missed.
   uint64_t no_deadline_slack_micros = 100'000;
@@ -169,13 +152,11 @@ class QuerySession {
   // overflow per the admission policy. A single read takes exactly the
   // SubmitBatch path.
   // `request.deadline_micros` (0 = none) asks for resolution within that
-  // many microseconds of submission: under FlushOrder::kEdf urgent reads
-  // jump the queue, and a read resolved late counts in
-  // SessionStats::deadline_missed (it is not cancelled). Updates
-  // (Insert/Remove/BatchUpdate/Rebuild) are never rejected; the
-  // dispatcher applies every queued update, in submission order, before
-  // composing the next read flush. `request.tenant` is ignored — a
-  // session serves one index.
+  // many microseconds of submission: urgent reads jump the queue, and a
+  // read resolved late counts in SessionStats::deadline_missed (it is not
+  // cancelled). Updates (Insert/Remove/BatchUpdate/Rebuild) are never
+  // rejected; the dispatcher applies every queued update, in submission
+  // order, before composing the next read flush.
 
   std::future<Response> Submit(Request request) EXCLUDES(mu_);
 
@@ -202,9 +183,6 @@ class QuerySession {
 
   /// Consistent snapshot of the counters and latency percentiles.
   SessionStats stats() const EXCLUDES(mu_);
-  /// Reads admitted but not yet resolved (queued + mid-flush). O(1) —
-  /// the quota-check path; stats() pays for percentile aggregation.
-  uint64_t inflight_reads() const EXCLUDES(mu_);
   /// The index this session serves.
   const GtsIndex* index() const { return index_; }
 

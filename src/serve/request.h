@@ -1,11 +1,10 @@
-// The unified typed request plane of the serving stack. Every serving
-// front end — `QuerySession` (one index), `SessionRouter` (explicit
-// tenants), `ShardedFrontend` (hash-routed shards) — exposes ONE entry
-// point:
+// The unified typed request plane of the serving stack. Both serving
+// front ends — `QuerySession` (one index) and `ShardedFrontend`
+// (hash-routed shards) — expose ONE entry point:
 //
 //   std::future<Response> Submit(Request);
 //
-// A `Request` is a common envelope (tenant id, deadline target) around a
+// A `Request` is a common envelope (a deadline target) around a
 // `std::variant` payload covering the seven operations the stack serves:
 // Range / Knn / KnnApprox reads and Insert / Remove / BatchUpdate /
 // Rebuild updates. A `Response` is the matching variant of typed results.
@@ -93,12 +92,8 @@ using RequestPayload =
                  RemovePayload, BatchUpdatePayload, RebuildPayload>;
 
 /// One serving request: envelope + typed payload. Build with the factory
-/// helpers; route with ForTenant() when submitting through a router.
+/// helpers.
 struct Request {
-  /// Routing target for SessionRouter (tenant id) — ignored by
-  /// QuerySession (one index) and ShardedFrontend (routing is by hash /
-  /// id, not by caller choice).
-  uint32_t tenant = 0;
   /// EDF scheduling target for reads, in microseconds from submission
   /// (0 = none). A deadline shapes flush composition, it is not a
   /// timeout; late resolutions are counted, never cancelled. Ignored for
@@ -112,13 +107,6 @@ struct Request {
     return std::holds_alternative<RangePayload>(payload) ||
            std::holds_alternative<KnnPayload>(payload) ||
            std::holds_alternative<KnnApproxPayload>(payload);
-  }
-
-  /// Sets the routing target and returns the request for chaining:
-  ///   router.Submit(Request::Knn(src, 3, 8).ForTenant(2));
-  Request&& ForTenant(uint32_t t) && {
-    tenant = t;
-    return std::move(*this);
   }
 
   // --- Factories -----------------------------------------------------------
@@ -228,8 +216,8 @@ struct Response {
 };
 
 /// The error response whose alternative matches `request`'s payload family
-/// — the immediate-reject paths (invalid argument, admission, quota,
-/// unknown tenant) all resolve through this so wrappers and typed callers
+/// — the immediate-reject paths (invalid argument, admission, a frontend
+/// with no shards) all resolve through this so wrappers and typed callers
 /// see the error in the alternative they expect.
 inline Response ErrorResponse(const Request& request, Status status) {
   return std::visit(

@@ -207,9 +207,9 @@ struct ShardedFrontend::KnnScatter {
 ShardedFrontend::ShardedFrontend(std::vector<std::vector<GtsIndex*>> shards,
                                  FrontendOptions options)
     : options_(options) {
-  // One pool-only executor shared by every replica session, exactly like
-  // SessionRouter: the worker budget is fixed no matter the shard or
-  // replica count (replication adds availability, not compute).
+  // One pool-only executor shared by every replica session: the worker
+  // budget is fixed no matter the shard or replica count (replication
+  // adds availability, not compute).
   executor_ = std::make_unique<QueryExecutor>(
       nullptr, ExecutorOptions{options_.executor_threads, 0});
   // A malformed layout (no shards, a shard with no replicas, ragged

@@ -1,13 +1,12 @@
 // Hash-routed sharded serving — one corpus partitioned over N logical
 // shards, each shard replicated over `replication_factor` GtsIndex
-// replicas, behind the SAME unified entry point every other front end
-// has: Submit(serve::Request) -> std::future<serve::Response>. This is
-// the ROADMAP's "hash/consistent routing for shard-per-tenant corpora"
-// step plus its replication follow-on, built the way Faiss-style
-// multi-GPU serving composes (IndexShards/IndexReplicas): updates route
-// to exactly one shard and fan out to ALL of its replicas, reads scatter
-// to one replica per shard and gather through a deterministic merge,
-// failing over to a sibling replica when the chosen one cannot serve.
+// replicas, behind the SAME unified entry point QuerySession has:
+// Submit(serve::Request) -> std::future<serve::Response>. It is built the
+// way Faiss-style multi-GPU serving composes (IndexShards/IndexReplicas):
+// updates route to exactly one shard and fan out to ALL of its replicas,
+// reads scatter to one replica per shard and gather through a
+// deterministic merge, failing over to a sibling replica when the chosen
+// one cannot serve.
 //
 //  - Updates (Insert/Remove/BatchUpdate): an insert routes by a stable
 //    content hash of the object bytes (ShardForObject); a removal routes
@@ -199,8 +198,8 @@ class ShardedFrontend {
   ShardedFrontend& operator=(const ShardedFrontend&) = delete;
 
   /// The unified entry point: routes updates, scatters/gathers reads.
-  /// `request.tenant` is ignored — routing is by hash and id, not caller
-  /// choice. Read responses use frontend-global ids.
+  /// Routing is by hash and id, not caller choice. Read responses use
+  /// frontend-global ids.
   std::future<Response> Submit(Request request);
 
   /// Batched entry point: plans every read of the group in one pass and

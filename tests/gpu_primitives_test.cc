@@ -11,40 +11,36 @@ namespace {
 
 Device MakeDevice() { return Device(DeviceOptions{}); }
 
-TEST(ParallelForTest, VisitsAllAndCharges) {
-  Device dev = MakeDevice();
-  std::vector<int> hits(100, 0);
-  ParallelFor(&dev, 100, 1.0, [&](uint64_t i) { hits[i]++; });
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
-                          [](int h) { return h == 1; }));
-  EXPECT_EQ(dev.clock().kernels_launched(), 1u);
-  EXPECT_GT(dev.clock().ElapsedNs(), 0.0);
-}
-
-TEST(SortPairsTest, SortsByKey) {
+TEST(SortTableTest, SortsByKey) {
   Device dev = MakeDevice();
   Rng rng(4);
   const size_t n = 5000;
   std::vector<double> keys(n);
-  std::vector<uint32_t> vals(n);
+  std::vector<uint32_t> objects(n);
+  std::vector<float> dis(n);
   for (size_t i = 0; i < n; ++i) {
     keys[i] = rng.UniformDouble();
-    vals[i] = static_cast<uint32_t>(i);
+    objects[i] = static_cast<uint32_t>(i);
+    dis[i] = static_cast<float>(i) * 0.5f;
   }
   const std::vector<double> orig_keys = keys;
-  SortPairsByKey(&dev, keys, vals);
+  SortTableByKey(&dev, keys, objects, dis);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(keys[i], orig_keys[vals[i]]);  // pairing preserved
+    // Both carried columns follow their key.
+    EXPECT_DOUBLE_EQ(keys[i], orig_keys[objects[i]]);
+    EXPECT_EQ(dis[i], static_cast<float>(objects[i]) * 0.5f);
   }
 }
 
-TEST(SortPairsTest, StableOnEqualKeys) {
+TEST(SortTableTest, StableOnEqualKeys) {
   Device dev = MakeDevice();
   std::vector<double> keys = {1.0, 1.0, 0.0, 1.0, 0.0};
-  std::vector<uint32_t> vals = {0, 1, 2, 3, 4};
-  SortPairsByKey(&dev, keys, vals);
-  EXPECT_EQ(vals, (std::vector<uint32_t>{2, 4, 0, 1, 3}));
+  std::vector<uint32_t> objects = {0, 1, 2, 3, 4};
+  std::vector<float> dis = {10.0f, 11.0f, 12.0f, 13.0f, 14.0f};
+  SortTableByKey(&dev, keys, objects, dis);
+  EXPECT_EQ(objects, (std::vector<uint32_t>{2, 4, 0, 1, 3}));
+  EXPECT_EQ(dis, (std::vector<float>{12.0f, 14.0f, 10.0f, 11.0f, 13.0f}));
 }
 
 TEST(SortTableTest, CarriesBothColumns) {

@@ -1,5 +1,5 @@
 // Unified request-plane suite: Submit(serve::Request) through QuerySession
-// and SessionRouter must be byte-identical to direct index calls, across
+// and ShardedFrontend must be byte-identical to direct index calls, across
 // seeds and operation mixes; rejections must resolve in the request's own
 // typed Response alternative. Runs under the clang-tsan CI job's Serve
 // re-run.
@@ -18,7 +18,6 @@
 #include "serve/query_executor.h"
 #include "serve/query_session.h"
 #include "serve/request.h"
-#include "serve/session_router.h"
 #include "serve/sharded_frontend.h"
 
 namespace gts {
@@ -186,34 +185,34 @@ TEST(ServeRequestTest, UpdateFamiliesRoundTripThroughUnifiedPlane) {
 TEST(ServeRequestTest, RejectionsStayTyped) {
   Env env = MakeIndexedEnv(DatasetId::kTLoc, 300, 41);
   const Dataset queries = SampleQueries(env.data, 4, 5);
-  serve::SessionRouter router({env.index.get()});
 
-  // Unknown tenant: each family's alternative carries the error.
-  Response range =
-      router.Submit(Request::Range(queries, 0, 1.0f).ForTenant(9)).get();
+  // A frontend with no shards: each family's alternative carries the
+  // error.
+  serve::ShardedFrontend empty(std::vector<std::vector<GtsIndex*>>{});
+  ASSERT_EQ(empty.num_shards(), 0u);
+  Response range = empty.Submit(Request::Range(queries, 0, 1.0f)).get();
   EXPECT_EQ(range.range().status().code(), StatusCode::kInvalidArgument);
-  Response knn =
-      router.Submit(Request::Knn(queries, 0, 4).ForTenant(9)).get();
+  Response knn = empty.Submit(Request::Knn(queries, 0, 4)).get();
   EXPECT_EQ(knn.knn().status().code(), StatusCode::kInvalidArgument);
-  Response insert =
-      router.Submit(Request::Insert(queries, 0).ForTenant(9)).get();
+  Response insert = empty.Submit(Request::Insert(queries, 0)).get();
   EXPECT_EQ(insert.inserted().status().code(), StatusCode::kInvalidArgument);
-  Response rebuild = router.Submit(Request::Rebuild().ForTenant(9)).get();
+  Response rebuild = empty.Submit(Request::Rebuild()).get();
   EXPECT_EQ(rebuild.update().code(), StatusCode::kInvalidArgument);
 
   // Out-of-range factory index: the factories never fail, the plane
   // rejects with kInvalidArgument.
-  Response oob =
-      router.Submit(Request::Knn(queries, queries.size(), 4)).get();
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::QuerySession session(env.index.get(), &exec);
+  Response oob = session.Submit(Request::Knn(queries, queries.size(), 4)).get();
   EXPECT_EQ(oob.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(oob.ok());
 
   // Bad candidate fraction.
   Response bad_fraction =
-      router.Submit(Request::KnnApprox(queries, 0, 4, 0.0)).get();
+      session.Submit(Request::KnnApprox(queries, 0, 4, 0.0)).get();
   EXPECT_EQ(bad_fraction.status().code(), StatusCode::kInvalidArgument);
 
-  // is_read() partitions the families the way admission/quotas do.
+  // is_read() partitions the families the way admission does.
   EXPECT_TRUE(Request::Range(queries, 0, 1.0f).is_read());
   EXPECT_TRUE(Request::Knn(queries, 0, 4).is_read());
   EXPECT_TRUE(Request::KnnApprox(queries, 0, 4, 0.5).is_read());
@@ -386,38 +385,6 @@ TEST(ServeRequestTest, NonFiniteInsertRejectedBeforeScatter) {
   frontend.Drain();
   EXPECT_EQ(shards[0]->alive_size(), alive0);
   EXPECT_EQ(shards[1]->alive_size(), alive1);
-}
-
-// Routed unified submissions must match the per-tenant direct answers —
-// the router plumbs one entry point.
-TEST(ServeRequestDifferential, RouterUnifiedMatchesPerTenantIndex) {
-  Env a = MakeIndexedEnv(DatasetId::kTLoc, 500, 61);
-  Env b = MakeIndexedEnv(DatasetId::kWords, 300, 62);
-  Env* envs[] = {&a, &b};
-
-  serve::RouterOptions options;
-  options.session.max_batch = 6;
-  options.session.max_wait_micros = 50;
-  options.executor_threads = 2;
-  serve::SessionRouter router({a.index.get(), b.index.get()}, options);
-
-  constexpr uint32_t kQueries = 16;
-  for (uint32_t t = 0; t < 2; ++t) {
-    const Dataset queries = SampleQueries(envs[t]->data, kQueries, 81 + t);
-    std::vector<std::future<Response>> unified;
-    for (uint32_t q = 0; q < kQueries; ++q) {
-      unified.push_back(
-          router.Submit(Request::Knn(queries, q, 6).ForTenant(t)));
-    }
-    for (uint32_t q = 0; q < kQueries; ++q) {
-      Response got = unified[q].get();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      auto want = envs[t]->index->KnnQuery(queries, q, 6);
-      ASSERT_TRUE(want.ok());
-      ExpectSameNeighbors(got.knn().value(), want.value());
-    }
-  }
-  router.Drain();
 }
 
 }  // namespace

@@ -2,15 +2,20 @@
 // byte-identical to the batch path across seeds; the bounded-queue reject
 // policy must fire under overload; writers must apply promptly (writes
 // first, never behind more than the one in-flight flush) while saturating
-// reader threads stream queries; and the whole layer must be TSan-clean
+// reader threads stream queries; EDF flush composition must let a
+// tight-deadline query jump an earlier loose-deadline backlog without
+// starving deadline-free reads; and the whole layer must be TSan-clean
 // (this file runs under the clang-tsan CI job's Serve re-run).
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -381,6 +386,97 @@ TEST(ServeSessionTest, MixedStreamUnderChurnKeepsInvariants) {
   const serve::RangeResult got = f.get().range();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), want.value()[3]);
+}
+
+
+// EDF composition: with a backlog pinned behind a rebuild, a tight-deadline
+// query submitted LAST must be drawn into the first flush. Observed through
+// the on_flush sequence-number hook (seq i = i-th accepted read).
+TEST(ServeSessionEdf, TightDeadlineJumpsLooseBacklog) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 20000, 61);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.001, 100, 7);
+  const Dataset queries = SampleQueries(env.data, 16, 5);
+
+  std::mutex mu;
+  std::vector<std::vector<uint64_t>> flush_seqs;
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::SessionOptions opts;
+  opts.max_batch = 1;  // one query per flush: composition order observable
+  opts.max_wait_micros = 0;
+  opts.admission = serve::AdmissionPolicy::kBlock;
+  // Queued writers always run before the next read flush, so the rebuild
+  // below applies before any read regardless of dispatcher wakeup timing.
+  opts.on_flush = [&](std::span<const uint64_t> seqs) {
+    std::lock_guard<std::mutex> lock(mu);
+    flush_seqs.emplace_back(seqs.begin(), seqs.end());
+  };
+  serve::QuerySession session(env.index.get(), &exec, opts);
+
+  // Pin the dispatcher in a rebuild, queue 8 loose-deadline reads, then
+  // one tight-deadline read. All 9 are queued long before the rebuild
+  // finishes (a 20k-object reconstruction vs. nine mutex pushes).
+  auto rebuild = session.Submit(Request::Rebuild());
+  std::vector<std::future<Response>> futures;
+  for (uint32_t i = 0; i < 8; ++i) {
+    futures.push_back(session.Submit(
+        Request::Range(queries, i, r, /*deadline_micros=*/30'000'000)));
+  }
+  futures.push_back(session.Submit(
+      Request::Range(queries, 8, r, /*deadline_micros=*/1)));
+  EXPECT_TRUE(rebuild.get().update().ok());
+  for (auto& f : futures) EXPECT_TRUE(f.get().range().ok());
+  session.Drain();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(flush_seqs.size(), 9u);
+  for (const auto& seqs : flush_seqs) ASSERT_EQ(seqs.size(), 1u);
+  // The tight query (seq 8, submitted last) jumps the loose backlog.
+  EXPECT_EQ(flush_seqs[0][0], 8u) << "EDF did not flush the most-urgent";
+  // Its 1 µs deadline cannot be met from behind a rebuild.
+  EXPECT_GE(session.stats().deadline_missed, 1u);
+}
+
+// Anti-starvation: a deadline-free read ages via its implicit slack
+// deadline (a fixed absolute instant), so an urgent read arriving after
+// the slack has elapsed ranks BEHIND it — sustained urgent traffic
+// cannot starve deadline-free submissions. Whether or not the rebuild
+// still pins the dispatcher when the urgent read arrives, the aged
+// deadline-free read must flush first.
+TEST(ServeSessionEdf, AgedDeadlineFreeReadOutranksLaterUrgent) {
+  Env env = MakeIndexedEnv(DatasetId::kTLoc, 20000, 67);
+  const float r = CalibrateRadius(env.data, *env.metric, 0.001, 100, 7);
+  const Dataset queries = SampleQueries(env.data, 4, 5);
+
+  std::mutex mu;
+  std::vector<std::vector<uint64_t>> flush_seqs;
+  serve::QueryExecutor exec(env.index.get(), serve::ExecutorOptions{2, 0});
+  serve::SessionOptions opts;
+  opts.max_batch = 1;
+  opts.max_wait_micros = 0;
+  opts.admission = serve::AdmissionPolicy::kBlock;
+  opts.no_deadline_slack_micros = 2000;
+  opts.on_flush = [&](std::span<const uint64_t> seqs) {
+    std::lock_guard<std::mutex> lock(mu);
+    flush_seqs.emplace_back(seqs.begin(), seqs.end());
+  };
+  serve::QuerySession session(env.index.get(), &exec, opts);
+
+  auto rebuild = session.Submit(Request::Rebuild());
+  // seq 0, deadline-free.
+  auto aged = session.Submit(Request::Range(queries, 0, r));
+  std::this_thread::sleep_for(std::chrono::microseconds(3000));
+  // seq 1, urgent.
+  auto urgent =
+      session.Submit(Request::Range(queries, 1, r, /*deadline_micros=*/1));
+  EXPECT_TRUE(rebuild.get().update().ok());
+  EXPECT_TRUE(aged.get().range().ok());
+  EXPECT_TRUE(urgent.get().range().ok());
+  session.Drain();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_GE(flush_seqs.size(), 1u);
+  EXPECT_EQ(flush_seqs[0][0], 0u)
+      << "urgent read starved an aged deadline-free read";
 }
 
 }  // namespace
