@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark, real wall time): device-simulator
-// primitives — the encode-sort, reductions and top-k selection used by the
+// primitives — the encode-sort, scans and top-k selection used by the
 // builder and both query paths.
 #include <benchmark/benchmark.h>
 
@@ -14,40 +14,28 @@ namespace {
 void BM_SortTableByKey(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(7);
-  std::vector<double> keys(n);
+  std::vector<uint64_t> keys(n);
   std::vector<uint32_t> objects(n);
   std::vector<float> dis(n);
   for (size_t i = 0; i < n; ++i) {
-    keys[i] = rng.UniformDouble();
+    // Ten nodes per level, as at node capacity 10.
+    keys[i] = TableKey(static_cast<uint32_t>(rng.UniformU64(10)),
+                       rng.UniformFloat(0.0f, 1.0f));
     objects[i] = static_cast<uint32_t>(i);
-    dis[i] = static_cast<float>(keys[i]);
   }
   Device dev;
   for (auto _ : state) {
     state.PauseTiming();
-    std::vector<double> k2 = keys;
+    std::vector<uint64_t> k2 = keys;
     std::vector<uint32_t> o2 = objects;
-    std::vector<float> d2 = dis;
     state.ResumeTiming();
-    SortTableByKey(&dev, k2, o2, d2);
+    SortTableByKey(&dev, k2, o2, dis);
     benchmark::DoNotOptimize(o2.data());
+    benchmark::DoNotOptimize(dis.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SortTableByKey)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_ReduceMax(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(9);
-  std::vector<float> v(n);
-  for (auto& x : v) x = rng.UniformFloat(0.0f, 1.0f);
-  Device dev;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ReduceMax(&dev, v));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ReduceMax)->Arg(1 << 12)->Arg(1 << 18);
 
 void BM_ExclusiveScan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

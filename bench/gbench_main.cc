@@ -25,10 +25,17 @@ auto RunFailed(const R& run, long) -> decltype(bool(run.skipped)) {
   return bool(run.skipped);
 }
 
-// Mirrors each run into the harness reporter while keeping the normal
-// console output.
-class RecordingReporter : public benchmark::ConsoleReporter {
+// Mirrors each run into the harness reporter, then hands it to the
+// display reporter the standard flags select (--benchmark_format,
+// --benchmark_color, ...), which the library owns.
+class RecordingReporter : public benchmark::BenchmarkReporter {
  public:
+  RecordingReporter()
+      : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       // Aggregate rows (--benchmark_repetitions means/stddev/cv) are not
@@ -42,8 +49,12 @@ class RecordingReporter : public benchmark::ConsoleReporter {
           run.benchmark_name(), "-", run.real_accumulated_time,
           static_cast<uint64_t>(run.iterations));
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  benchmark::BenchmarkReporter* display_;
 };
 
 std::string BenchNameFromArgv0(const char* argv0) {

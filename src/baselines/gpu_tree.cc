@@ -88,10 +88,10 @@ int32_t GpuTree::BuildNode(std::vector<uint32_t> ids, std::vector<Node>* tree,
       std::min<uint64_t>(ids.size(), kBlockLanes),
       metric_->stats().ops - start_ops);
 
-  std::vector<uint32_t> order(ids.size());
+  std::vector<uint32_t> keys(ids.size()), order(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) keys[i] = gpu::FloatKey(dv[i]);
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return dv[a] < dv[b]; });
+  gpu::RadixSort(keys, order);
   context_.device->clock().ChargeSort(ids.size());
 
   (*tree)[idx].vp = vp;

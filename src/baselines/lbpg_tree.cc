@@ -50,11 +50,10 @@ Status LbpgTree::Build(const Dataset* data, const DistanceMetric* metric) {
   if (n == 0) return Status::Ok();
 
   // STR bulk load: slice by dim 0, sort slices by dim 1, pack leaves.
-  std::vector<uint32_t> ids(n);
+  std::vector<uint32_t> ids(n), keys(n);
   std::iota(ids.begin(), ids.end(), 0u);
-  std::stable_sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
-    return data->Vector(a)[0] < data->Vector(b)[0];
-  });
+  for (uint32_t i = 0; i < n; ++i) keys[i] = gpu::FloatKey(data->Vector(i)[0]);
+  gpu::RadixSort(keys, ids);
   context_.device->clock().ChargeSort(n);
   const uint32_t num_leaves = (n + kLeafSize - 1) / kLeafSize;
   const uint32_t num_slices = static_cast<uint32_t>(
@@ -65,10 +64,11 @@ Status LbpgTree::Build(const Dataset* data, const DistanceMetric* metric) {
       const uint32_t b = s * slice_len;
       const uint32_t e = std::min(n, b + slice_len);
       if (b >= e) break;
-      std::stable_sort(ids.begin() + b, ids.begin() + e,
-                       [&](uint32_t a, uint32_t c) {
-                         return data->Vector(a)[1] < data->Vector(c)[1];
-                       });
+      for (uint32_t i = b; i < e; ++i) {
+        keys[i] = gpu::FloatKey(data->Vector(ids[i])[1]);
+      }
+      gpu::RadixSort(std::span(keys).subspan(b, e - b),
+                     std::span(ids).subspan(b, e - b));
     }
     context_.device->clock().ChargeSort(n);
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "gpu/primitives.h"
+
 namespace gts {
 
 Status Mvpt::Build(const Dataset* data, const DistanceMetric* metric) {
@@ -67,10 +69,10 @@ int32_t Mvpt::BuildNode(std::vector<uint32_t> ids,
     dv[i] = metric_->Distance(*data_, ids[i], vp);
   }
 
-  std::vector<uint32_t> order(ids.size());
+  std::vector<uint32_t> keys(ids.size()), order(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) keys[i] = gpu::FloatKey(dv[i]);
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) { return dv[a] < dv[b]; });
+  gpu::RadixSort(keys, order);
 
   Node& node = nodes_[idx];
   node.vp = vp;

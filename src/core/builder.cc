@@ -157,27 +157,29 @@ Status GtsIndex::PartitionLevel(uint32_t layer, TreeTables* t) const {
   const uint64_t count = LevelCount(layer, nc);
   const uint64_t n = t->indexed_count;
 
-  // Normalization bound (Algorithm 3 lines 1-2).
-  const float maxd = gpu::ReduceMax(device_, t->tl_dis);
+  // Normalization pass (Algorithm 3 lines 1-2): the paper's key divides
+  // by the largest distance. The exact key below needs no bound, but the
+  // modeled device still runs the pass.
+  device_->clock().ChargeScan(n);
 
-  // Encoding kernel (lines 3-6): integer part = node rank in the level,
-  // fractional part = normalized distance to the node's pivot.
-  auto keys_r = gpu::DeviceBuffer<double>::Create(device_, n, "encode keys");
+  // Encoding kernel (lines 3-6): node rank in the level, then the distance
+  // to the node's pivot (gpu::TableKey).
+  auto keys_r = gpu::DeviceBuffer<uint64_t>::Create(device_, n, "encode keys");
   if (!keys_r.ok()) return keys_r.status();
   auto& keys = keys_r.value();
+  assert(count <= UINT32_MAX);
   for (uint64_t i = 0; i < count; ++i) {
     const GtsNode& node = t->node_list[start + i];
     for (uint32_t j = 0; j < node.size; ++j) {
-      keys[node.pos + j] = static_cast<double>(i) +
-                           static_cast<double>(t->tl_dis[node.pos + j]) /
-                               (static_cast<double>(maxd) + 1.0);
+      keys[node.pos + j] = gpu::TableKey(static_cast<uint32_t>(i),
+                                         t->tl_dis[node.pos + j]);
     }
   }
   device_->clock().ChargeKernel(n, 2 * n);
 
   // Global concurrent sort (line 7) carrying the table list.
-  gpu::SortTableByKey(device_, std::span<double>(keys.data(), n), t->tl_object,
-                      t->tl_dis);
+  gpu::SortTableByKey(device_, std::span<uint64_t>(keys.data(), n),
+                      t->tl_object, t->tl_dis);
 
   // Child construction (lines 8-18): objects are split evenly; the last
   // child absorbs the remainder. Note: the paper's line 15 advances child

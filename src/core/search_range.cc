@@ -94,7 +94,7 @@ Result<RangeResults> GtsIndex::RangeQueryBatchOn(
     GTS_RETURN_IF_ERROR(RangeLevel(frontier, 1, queries, radii, &out, &ctx));
   }
   SearchCacheRange(queries, radii, &out, &ctx);
-  for (auto& ids : out) std::sort(ids.begin(), ids.end());
+  for (auto& ids : out) gpu::RadixSort(ids);
   AccumulateStats(ctx, stats_out);
   return out;
 }
@@ -179,73 +179,68 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
   const std::span<const uint32_t> tl_object = ctx->tl_object();
   const Liveness& live = ctx->live();
 
-  // Phase 1: pivot filter via the stored leaf column (Lemma 5.1 with the
-  // leaf parent's pivot), skipping tombstoned objects.
-  std::vector<std::pair<uint32_t, uint32_t>> candidates;  // (query, table idx)
+  // Charged as two kernels, as the device runs them: the pivot filter via
+  // the stored leaf column (Lemma 5.1 with the leaf parent's pivot,
+  // skipping tombstoned objects) over every slot of every reached leaf,
+  // then exact verification of the survivors.
   uint64_t scanned = 0;
-  for (const Entry& e : frontier) {
-    const GtsNode& leaf = ctx->node(e.node);
-    const float r = radii[e.query];
-    const bool has_parent = e.node != 1;
-    scanned += leaf.size;
-    for (uint32_t j = 0; j < leaf.size; ++j) {
-      const uint32_t idx = leaf.pos + j;
-      if (has_parent && std::fabs(tl_dis[idx] - e.parent_dq) > r) continue;
-      if (!live.alive(tl_object[idx])) continue;
-      candidates.emplace_back(e.query, idx);
-    }
-  }
+  for (const Entry& e : frontier) scanned += ctx->node(e.node).size;
   ctx->clock.ChargeKernel(scanned, scanned * 2);
   ctx->stats.objects_verified += scanned;
 
-  // Phase 2: exact verification of surviving candidates — the block-kernel
-  // fast path. Candidates are grouped per query (frontier order), and
-  // within a query runs of consecutive table slots (a leaf surviving the
-  // pivot filter intact) score through the SoA pack with one kernel call;
-  // isolated survivors coalesce into one gather call per query. Either
-  // path produces the bitwise-identical distances of the historical
-  // per-object loop, and results are emitted in the same candidate order.
-  gpu::KernelDistanceScope scope(&ctx->clock, metric_, candidates.size());
+  // The host fuses them: one pass per query over its (leaf, query)
+  // entries. Each run of surviving slots (consecutive in the table list,
+  // across sibling leaves too) scores through the SoA pack with one block
+  // call straight into the query's hit list, and isolated survivors
+  // coalesce into one gather call per query. Both paths produce
+  // bitwise-identical distances with identical accounting, so the
+  // verified set and every charge are those of a filter pass followed by
+  // one distance pass.
+  gpu::KernelDistanceScope scope(&ctx->clock, metric_,
+                                 gpu::KernelDistanceScope::kAutoItems);
   std::vector<float> dist;
-  std::vector<uint32_t> single_ids;
-  std::vector<size_t> single_pos;
+  std::vector<uint32_t> singles;
   size_t i = 0;
-  while (i < candidates.size()) {
-    const uint32_t q = candidates[i].first;
-    size_t end = i;
-    while (end < candidates.size() && candidates[end].first == q) ++end;
-    dist.resize(end - i);
-    single_ids.clear();
-    single_pos.clear();
-    for (size_t s = i; s < end;) {
-      size_t run = s + 1;
-      while (run < end &&
-             candidates[run].second == candidates[run - 1].second + 1) {
-        ++run;
+  while (i < frontier.size()) {
+    const uint32_t q = frontier[i].query;
+    const float r = radii[q];
+    std::vector<uint32_t>& hits = (*out)[q];
+    singles.clear();
+    uint32_t run_begin = 0, run_end = 0;  // the open run of survivors
+    const auto close_run = [&] {
+      const uint32_t len = run_end - run_begin;
+      if (len == 1) {
+        singles.push_back(tl_object[run_begin]);
+      } else if (len > 1) {
+        dist.resize(len);
+        QuerySlotDistances(queries, q, run_begin, len, ctx, dist.data());
+        for (uint32_t t = 0; t < len; ++t) {
+          if (dist[t] <= r) hits.push_back(tl_object[run_begin + t]);
+        }
       }
-      if (run - s > 1) {
-        QuerySlotDistances(queries, q, candidates[s].second,
-                           static_cast<uint32_t>(run - s), ctx,
-                           dist.data() + (s - i));
-      } else {
-        single_ids.push_back(tl_object[candidates[s].second]);
-        single_pos.push_back(s - i);
-      }
-      s = run;
-    }
-    if (!single_ids.empty()) {
-      std::vector<float> gathered(single_ids.size());
-      QueryObjectDistances(queries, q, single_ids, ctx, gathered.data());
-      for (size_t g = 0; g < single_ids.size(); ++g) {
-        dist[single_pos[g]] = gathered[g];
-      }
-    }
-    for (size_t s = i; s < end; ++s) {
-      if (dist[s - i] <= radii[q]) {
-        (*out)[q].push_back(tl_object[candidates[s].second]);
+    };
+    for (; i < frontier.size() && frontier[i].query == q; ++i) {
+      const Entry& e = frontier[i];
+      const GtsNode& leaf = ctx->node(e.node);
+      const bool has_parent = e.node != 1;
+      for (uint32_t s = leaf.pos; s < leaf.pos + leaf.size; ++s) {
+        if (has_parent && std::fabs(tl_dis[s] - e.parent_dq) > r) continue;
+        if (!live.alive(tl_object[s])) continue;
+        if (s != run_end) {
+          close_run();
+          run_begin = s;
+        }
+        run_end = s + 1;
       }
     }
-    i = end;
+    close_run();
+    if (!singles.empty()) {
+      dist.resize(singles.size());
+      QueryObjectDistances(queries, q, singles, ctx, dist.data());
+      for (size_t g = 0; g < singles.size(); ++g) {
+        if (dist[g] <= r) hits.push_back(singles[g]);
+      }
+    }
   }
 }
 

@@ -1,37 +1,82 @@
 #include "gpu/primitives.h"
 
+#include <array>
 #include <cassert>
+#include <utility>
 
 namespace gts::gpu {
 
-void SortTableByKey(Device* device, std::span<double> keys,
-                    std::span<uint32_t> objects, std::span<float> dis) {
-  assert(keys.size() == objects.size() && keys.size() == dis.size());
+namespace {
+
+template <typename Key>
+void RadixSortImpl(std::span<Key> keys, std::span<uint32_t> payload) {
+  constexpr int kDigits = sizeof(Key);
   const size_t n = keys.size();
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return keys[a] < keys[b];
-  });
-  std::vector<double> keys_out(n);
-  std::vector<uint32_t> objects_out(n);
-  std::vector<float> dis_out(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys_out[i] = keys[perm[i]];
-    objects_out[i] = objects[perm[i]];
-    dis_out[i] = dis[perm[i]];
+  assert(payload.empty() || payload.size() == n);
+  assert(n <= UINT32_MAX);
+  if (n < 2) return;
+  const auto digit = [](Key key, int shift) {
+    return static_cast<uint32_t>(key >> shift) & 0xFFu;
+  };
+  // One read of the keys counts every digit.
+  std::array<std::array<uint32_t, 256>, kDigits> counts{};
+  for (const Key key : keys) {
+    for (int d = 0; d < kDigits; ++d) ++counts[d][digit(key, 8 * d)];
   }
-  std::copy(keys_out.begin(), keys_out.end(), keys.begin());
-  std::copy(objects_out.begin(), objects_out.end(), objects.begin());
-  std::copy(dis_out.begin(), dis_out.end(), dis.begin());
-  device->clock().ChargeSort(n);
+  std::vector<Key> key_tmp;
+  std::vector<uint32_t> payload_tmp;
+  Key* src = keys.data();
+  uint32_t* src_payload = payload.data();
+  Key* dst = nullptr;
+  uint32_t* dst_payload = nullptr;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    std::array<uint32_t, 256>& next = counts[d];
+    if (next[digit(keys[0], shift)] == n) continue;  // every key agrees
+    if (dst == nullptr) {
+      key_tmp.resize(n);
+      payload_tmp.resize(payload.size());
+      dst = key_tmp.data();
+      dst_payload = payload_tmp.data();
+    }
+    uint32_t running = 0;
+    for (uint32_t& c : next) running += std::exchange(c, running);
+    if (payload.empty()) {
+      for (size_t i = 0; i < n; ++i) dst[next[digit(src[i], shift)]++] = src[i];
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t to = next[digit(src[i], shift)]++;
+        dst[to] = src[i];
+        dst_payload[to] = src_payload[i];
+      }
+    }
+    std::swap(src, dst);
+    std::swap(src_payload, dst_payload);
+  }
+  if (src != keys.data()) {
+    std::copy_n(src, n, keys.data());
+    std::copy_n(src_payload, payload.size(), payload.data());
+  }
 }
 
-float ReduceMax(Device* device, std::span<const float> values) {
-  float best = 0.0f;
-  for (const float v : values) best = std::max(best, v);
-  device->clock().ChargeScan(values.size());
-  return best;
+}  // namespace
+
+void RadixSort(std::span<uint32_t> keys, std::span<uint32_t> payload) {
+  RadixSortImpl(keys, payload);
+}
+
+void RadixSort(std::span<uint64_t> keys, std::span<uint32_t> payload) {
+  RadixSortImpl(keys, payload);
+}
+
+void SortTableByKey(Device* device, std::span<uint64_t> keys,
+                    std::span<uint32_t> objects, std::span<float> dis) {
+  assert(keys.size() == objects.size() && keys.size() == dis.size());
+  RadixSort(keys, objects);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    dis[i] = std::bit_cast<float>(static_cast<uint32_t>(keys[i]));
+  }
+  device->clock().ChargeSort(keys.size());
 }
 
 void ExclusiveScan(Device* device, std::span<const uint32_t> in,

@@ -1,12 +1,15 @@
 // Device-wide parallel primitives of the simulator: distance-kernel
 // charging, the table sort by encoded key (the paper's global
-// partitioning workhorse), reductions, scans and top-k selection. Each
-// primitive executes on the host and charges the device clock according
-// to the lane-parallel model.
+// partitioning workhorse), scans and top-k selection. Each primitive
+// executes on the host and charges the device clock according to the
+// lane-parallel model. RadixSort, the host sort under the table sort, is
+// shared with the range path's hit lists and the baselines' builders, and
+// charges nothing itself.
 #ifndef GTS_GPU_PRIMITIVES_H_
 #define GTS_GPU_PRIMITIVES_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -57,17 +60,41 @@ class KernelDistanceScope {
   DistanceStats start_;
 };
 
-/// The global concurrent sort of Algorithm 3, carrying the table list
-/// through it: permutes `keys`, `objects` and `dis` together by ascending
-/// `keys` (stable: equal keys keep their input order), charging a device
-/// sort. The paper decodes distances back from the encoded keys; carrying
-/// the exact float values instead costs the same on the model and avoids
-/// decode rounding (DESIGN.md §5).
-void SortTableByKey(Device* device, std::span<double> keys,
-                    std::span<uint32_t> objects, std::span<float> dis);
+/// Stable LSD radix sort by ascending unsigned key, 8 bits per pass:
+/// permutes `payload` with `keys` when it is non-empty (it then holds one
+/// value per key), and skips every digit on which all keys agree, so keys
+/// with few significant bits take few passes. A host helper that charges
+/// nothing: callers charge the kernel the model describes, if any.
+void RadixSort(std::span<uint32_t> keys, std::span<uint32_t> payload = {});
+void RadixSort(std::span<uint64_t> keys, std::span<uint32_t> payload = {});
 
-/// Device-wide maximum over floats (0 for empty input).
-float ReduceMax(Device* device, std::span<const float> values);
+/// A RadixSort key for a float of either sign: key order is float order
+/// for every non-NaN value, and -0 gets the key of +0, as they compare
+/// equal, so a stable radix sort by these keys orders exactly as a stable
+/// comparison sort by `<` on the floats.
+inline uint32_t FloatKey(float f) {
+  const uint32_t bits = std::bit_cast<uint32_t>(f + 0.0f);  // -0 -> +0
+  return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
+}
+
+/// Algorithm 3's encode key for one table slot, exact: the rank of the
+/// slot's node within its level in the high 32 bits, the bits of its
+/// distance to the node's pivot in the low 32. Distances are non-negative,
+/// and non-negative floats order as their bits (+inf below NaN), so key
+/// order is (rank, distance) order for every distance range. The paper's
+/// `rank + d / (maxd + 1)` loses d whenever maxd dwarfs it.
+inline uint64_t TableKey(uint32_t rank, float dis) {
+  return uint64_t{rank} << 32 | std::bit_cast<uint32_t>(dis);
+}
+
+/// The global concurrent sort of Algorithm 3 over TableKey keys, carrying
+/// the table list: sorts `keys` ascending (stable, so slots with equal keys
+/// keep their input order), permutes `objects` with them, and decodes each
+/// slot's distance back from its key into `dis`, as the paper does — the
+/// decode is exact because the key holds the float's bits. Charges one
+/// device sort of keys.size() items.
+void SortTableByKey(Device* device, std::span<uint64_t> keys,
+                    std::span<uint32_t> objects, std::span<float> dis);
 
 /// Exclusive prefix sum.
 void ExclusiveScan(Device* device, std::span<const uint32_t> in,

@@ -2,7 +2,9 @@
 // families and node capacities: the table list is a permutation of the
 // objects, leaves partition it contiguously, every node's ring bounds are
 // exactly the min/max distance of its objects to the parent pivot, and
-// every pivot is an object of its own node.
+// every pivot is an object of its own node. The same checks, and exact
+// answers, hold when pivot distances span a range far wider than float
+// precision.
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -12,32 +14,19 @@
 #include <numeric>
 #include <set>
 
+#include "baselines/brute_force.h"
+#include "common/rng.h"
 #include "core/gts.h"
 #include "core/node.h"
 #include "data/generators.h"
+#include "data/workload.h"
 
 namespace gts {
 namespace {
 
-struct Param {
-  DatasetId dataset;
-  uint32_t nc;
-};
-
-class GtsInvariantsTest : public ::testing::TestWithParam<Param> {};
-
-TEST_P(GtsInvariantsTest, StructuralInvariants) {
-  const Param p = GetParam();
-  const uint32_t n = p.dataset == DatasetId::kDna ? 120 : 500;
-  Dataset data = GenerateDataset(p.dataset, n, 21);
-  auto metric = MakeDatasetMetric(p.dataset);
-  gpu::Device device;
-  GtsOptions options;
-  options.node_capacity = p.nc;
-  auto built = GtsIndex::Build(std::move(data), metric.get(), &device,
-                               options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const GtsIndex& idx = *built.value();
+void ExpectStructuralInvariants(const GtsIndex& idx,
+                                const DistanceMetric* metric) {
+  const uint32_t n = idx.size();
 
   // Table list is a permutation of all object ids.
   const auto objects = idx.table_objects();
@@ -130,6 +119,27 @@ TEST_P(GtsInvariantsTest, StructuralInvariants) {
   }
 }
 
+struct Param {
+  DatasetId dataset;
+  uint32_t nc;
+};
+
+class GtsInvariantsTest : public ::testing::TestWithParam<Param> {};
+
+TEST_P(GtsInvariantsTest, StructuralInvariants) {
+  const Param p = GetParam();
+  const uint32_t n = p.dataset == DatasetId::kDna ? 120 : 500;
+  Dataset data = GenerateDataset(p.dataset, n, 21);
+  auto metric = MakeDatasetMetric(p.dataset);
+  gpu::Device device;
+  GtsOptions options;
+  options.node_capacity = p.nc;
+  auto built = GtsIndex::Build(std::move(data), metric.get(), &device,
+                               options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ExpectStructuralInvariants(*built.value(), metric.get());
+}
+
 TEST_P(GtsInvariantsTest, BalancedLeaves) {
   const Param p = GetParam();
   // Size the dataset so the tree always has height >= 2 (n >= Nc^2 forces a
@@ -159,6 +169,55 @@ TEST_P(GtsInvariantsTest, BalancedLeaves) {
   }
   EXPECT_GT(lo, 0u) << "balanced trees have no empty leaves";
   EXPECT_LE(hi - lo, idx.node_capacity() * (h - 1));
+}
+
+// 3,000 uniform points in [0,1)^2 plus one at (1e30, 1e30): every node
+// holding the far point has pivot distances spanning ~30 decades. The
+// builder's partition key must still order each node's slots by distance,
+// or the child rings are not the true extremes and answers go wrong.
+TEST(GtsWideRangeTest, InvariantsAndAnswersMatchBruteForce) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    Dataset data = Dataset::FloatVectors(2);
+    Rng rng(seed);
+    for (int i = 0; i < 3000; ++i) {
+      data.AppendVector(std::vector<float>{rng.UniformFloat(0.0f, 1.0f),
+                                           rng.UniformFloat(0.0f, 1.0f)});
+    }
+    data.AppendVector(std::vector<float>{1e30f, 1e30f});
+    const Dataset queries = SampleQueries(data, 300, seed + 100);
+    auto metric = MakeMetric(MetricKind::kL2);
+    gpu::Device device;
+    BruteForce ref(MethodContext{&device, UINT64_MAX, 42});
+    ASSERT_TRUE(ref.Build(&data, metric.get()).ok());
+    GtsOptions options;
+    options.node_capacity = 10;
+    options.seed = seed;
+    auto built = GtsIndex::Build(data, metric.get(), &device, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const GtsIndex& idx = *built.value();
+    ExpectStructuralInvariants(idx, metric.get());
+
+    for (const float r : {0.0f, 0.01f}) {
+      const std::vector<float> radii(queries.size(), r);
+      auto expected = ref.RangeBatch(queries, radii);
+      auto got = idx.RangeQueryBatch(queries, radii);
+      ASSERT_TRUE(expected.ok() && got.ok());
+      for (uint32_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(got.value()[q], expected.value()[q])
+            << "seed " << seed << " r " << r << " query " << q;
+      }
+    }
+    auto expected = ref.KnnBatch(queries, 5);
+    auto got = idx.KnnQueryBatch(queries, 5);
+    ASSERT_TRUE(expected.ok() && got.ok());
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      ASSERT_EQ(got.value()[q].size(), expected.value()[q].size());
+      for (size_t i = 0; i < got.value()[q].size(); ++i) {
+        EXPECT_EQ(got.value()[q][i].dist, expected.value()[q][i].dist)
+            << "seed " << seed << " query " << q << " rank " << i;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,13 +3,16 @@
 // range queries, and folds every observable into two FNV-1a hashes per
 // dataset: `answers` folds the exact results (ids and distance float
 // bits), `work` folds everything an algorithmic change may legitimately
-// move — query-stat counters and metric work counters. A further `knn-20k`
-// line covers the kNN leaf verifier at scale: a tombstoned T-Loc index
-// whose device budget splits each batch into several query groups, queried
-// in exact, approximate, bounded and large-k mode; its `answers` fold the
+// move — query-stat counters, metric work counters and the built table
+// list (object order and distance bits). Two further lines cover the leaf
+// verifiers at scale, on a tombstoned T-Loc index whose device budget
+// splits each batch into several query groups. `knn-20k` queries it in
+// exact, approximate, bounded and large-k mode; its `answers` fold the
 // exact and large-k results, its `work` the counters, the approximate and
 // bounded results (whose contracts let them move) and the modeled device
-// clock. A combined digest of every hash closes the report.
+// clock. `range-20k` runs one range batch; its `answers` fold the results,
+// its `work` the counters and the modeled device clock. A combined digest
+// of every hash closes the report.
 //
 // A change that keeps exact answers but changes the work (a better bound,
 // a different charge) moves only the `work` column; comparing the
@@ -39,6 +42,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -141,36 +145,65 @@ Hashes FingerprintDataset(DatasetId id) {
   const DistanceStats ms = metric->stats();
   FoldPod(&h.work, ms.calls);
   FoldPod(&h.work, ms.ops);
+  for (const uint32_t oid : index.table_objects()) FoldPod(&h.work, oid);
+  for (const float dis : index.table_dis()) FoldPod(&h.work, dis);
   return h;
 }
 
-// Fingerprint of the kNN leaf verifier on T-Loc 20k with every 7th object
-// tombstoned (the leaves keep them; 1/7 stays under the rebuild
-// threshold). The 4 MB device budget splits the 128-query batch into
-// several query groups. Folds exact kNN, candidate_fraction 0.5 and 0.2,
-// initial bounds (+inf for even queries, the exact k-th distance for odd
-// ones), k = 50, and finally the bits of the device clock every call
-// charged. Answers: the exact and k = 50 results; work: the rest.
-Hashes FingerprintKnnVerifier() {
-  constexpr uint32_t kK = 8;
+// The leaf verifiers' workload: T-Loc 20k with every 7th object tombstoned
+// (the leaves keep them; 1/7 stays under the rebuild threshold), on a
+// 900 KB device budget, under three times the index's own 342 KB, so the
+// frontier of a 128-query batch splits into several query groups.
+struct VerifierSetup {
+  Dataset queries;
+  std::unique_ptr<DistanceMetric> metric;
+  std::unique_ptr<gpu::Device> device;
+  std::unique_ptr<GtsIndex> index;
+};
+
+VerifierSetup BuildVerifierSetup() {
   Dataset data = GenerateDataset(DatasetId::kTLoc, 20000, 23);
-  const Dataset queries = SampleQueries(data, 128, 31);
-  auto metric = MakeDatasetMetric(DatasetId::kTLoc);
+  VerifierSetup s{SampleQueries(data, 128, 31),
+                  MakeDatasetMetric(DatasetId::kTLoc), nullptr, nullptr};
   gpu::DeviceOptions device_options;
-  device_options.memory_bytes = 4ull << 20;
-  gpu::Device device(device_options);
+  device_options.memory_bytes = 900ull << 10;
+  s.device = std::make_unique<gpu::Device>(device_options);
   GtsOptions options;
   options.node_capacity = 10;
-  auto built = GtsIndex::Build(std::move(data), metric.get(), &device, options);
+  auto built = GtsIndex::Build(std::move(data), s.metric.get(),
+                               s.device.get(), options);
   if (!built.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  built.status().ToString().c_str());
     std::exit(2);
   }
-  GtsIndex& index = *built.value();
-  for (uint32_t id = 0; id < index.size(); id += 7) {
-    if (!index.Remove(id).ok()) std::exit(2);
+  s.index = std::move(built).value();
+  for (uint32_t id = 0; id < s.index->size(); id += 7) {
+    if (!s.index->Remove(id).ok()) std::exit(2);
   }
+  return s;
+}
+
+// Exits unless some level of the descent split the batch: a batch that
+// runs whole counts one group per inner level.
+void RequireSplit(const char* line, const GtsQueryStats& stats,
+                  const GtsIndex& index) {
+  if (stats.query_groups < index.height()) {
+    std::fprintf(stderr, "%s: no level split the batch\n", line);
+    std::exit(2);
+  }
+}
+
+// Fingerprint of the kNN leaf verifier. Folds exact kNN,
+// candidate_fraction 0.5 and 0.2, initial bounds (+inf for even queries,
+// the exact k-th distance for odd ones), k = 50, and finally the bits of
+// the device clock every call charged. Answers: the exact and k = 50
+// results; work: the rest.
+Hashes FingerprintKnnVerifier() {
+  constexpr uint32_t kK = 8;
+  const VerifierSetup s = BuildVerifierSetup();
+  const Dataset& queries = s.queries;
+  const GtsIndex& index = *s.index;
 
   Hashes h;
   const auto run = [&](uint32_t k, const KnnOptions& knn_options,
@@ -178,10 +211,7 @@ Hashes FingerprintKnnVerifier() {
     GtsQueryStats stats;
     auto res = index.KnnQueryBatch(queries, k, &stats, knn_options);
     if (!res.ok()) std::exit(2);
-    if (stats.query_groups < 2) {
-      std::fprintf(stderr, "knn-20k: batch ran as one query group\n");
-      std::exit(2);
-    }
+    RequireSplit("knn-20k", stats, index);
     FoldNeighbors(results_hash, res.value());
     FoldStats(&h.work, stats);
     return std::move(res).value();
@@ -202,13 +232,36 @@ Hashes FingerprintKnnVerifier() {
   bounded.initial_bounds = bounds;
   run(kK, bounded, &h.work);
   run(50, {}, &h.answers);
-  FoldPod(&h.work, device.clock().ElapsedNs());
+  FoldPod(&h.work, s.device->clock().ElapsedNs());
+  return h;
+}
+
+// Fingerprint of the range leaf verifier: one batch at a radius of 0.5%
+// selectivity, whose results are the answers; the counters and the bits
+// of the device clock are the work.
+Hashes FingerprintRangeVerifier() {
+  const VerifierSetup s = BuildVerifierSetup();
+  const float radius =
+      CalibrateRadius(s.index->data(), *s.metric, 0.005, 200, 37);
+  const std::vector<float> radii(s.queries.size(), radius);
+  GtsQueryStats stats;
+  auto res = s.index->RangeQueryBatch(s.queries, radii, &stats);
+  if (!res.ok()) std::exit(2);
+  RequireSplit("range-20k", stats, *s.index);
+  Hashes h;
+  for (const auto& ids : res.value()) {
+    FoldPod(&h.answers, static_cast<uint64_t>(ids.size()));
+    for (const uint32_t oid : ids) FoldPod(&h.answers, oid);
+  }
+  FoldStats(&h.work, stats);
+  FoldPod(&h.work, s.device->clock().ElapsedNs());
   return h;
 }
 
 struct Report {
   std::vector<Hashes> per_dataset;
   Hashes knn_verifier;
+  Hashes range_verifier;
   uint64_t combined = kFnvOffset;
 };
 
@@ -218,12 +271,15 @@ Report RunAll() {
     r.per_dataset.push_back(FingerprintDataset(id));
   }
   r.knn_verifier = FingerprintKnnVerifier();
+  r.range_verifier = FingerprintRangeVerifier();
   for (const Hashes& h : r.per_dataset) {
     FoldPod(&r.combined, h.answers);
     FoldPod(&r.combined, h.work);
   }
-  FoldPod(&r.combined, r.knn_verifier.answers);
-  FoldPod(&r.combined, r.knn_verifier.work);
+  for (const Hashes& h : {r.knn_verifier, r.range_verifier}) {
+    FoldPod(&r.combined, h.answers);
+    FoldPod(&r.combined, h.work);
+  }
   return r;
 }
 
@@ -239,6 +295,7 @@ void Print(const Report& r, const char* tier) {
     PrintLine(GetDatasetSpec(id).name, r.per_dataset[i++]);
   }
   PrintLine("knn-20k", r.knn_verifier);
+  PrintLine("range-20k", r.range_verifier);
   std::printf("combined %016" PRIx64 "\n", r.combined);
 }
 
