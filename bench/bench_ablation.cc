@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of the paper's design choices, at the scale docs/ARCHITECTURE.md
+// ("Scale and calibration") sets:
 //  (a) FFT reference-set depth (§4.3): how many ancestor pivots the pivot
 //      selection maximizes distance against — pruning quality vs build cost;
 //  (b) the approximate-kNN candidate budget (§7 future work): recall vs

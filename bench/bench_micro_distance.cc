@@ -19,8 +19,12 @@
 //                                 one 256-pair DistanceBatch per iteration:
 //                                 scalar tier selects the two-row DP,
 //                                 wider tiers the Myers bit-parallel kernel.
+//   gts-micro/edit-Words@bounded  the edit-Words@bitpar pairs bounded at
+//                                 words-batch's radius of 1, where a length
+//                                 difference above the bound skips the
+//                                 kernel (metric/kernels.h).
 //
-// CI gates the block/bit-parallel speedups with
+// CI gates the block/bit-parallel/bounded speedups with
 // `diff_bench.py --require-ratio 'block-X@simd>=K*block-X@scalar'` — see
 // .github/workflows/ci.yml.
 #include <benchmark/benchmark.h>
@@ -108,7 +112,8 @@ void PerCallScore(benchmark::State& state, FloatConfig cfg) {
   state.SetItemsProcessed(state.iterations() * kObjects);
 }
 
-void EditScore(benchmark::State& state, DatasetId id, simd::Tier tier) {
+void EditScore(benchmark::State& state, DatasetId id, simd::Tier tier,
+               float bound) {
   const Dataset data = GenerateDataset(id, kObjects, 3);
   const auto metric = MakeDatasetMetric(id);
   std::vector<uint32_t> ids(kObjects);
@@ -116,7 +121,7 @@ void EditScore(benchmark::State& state, DatasetId id, simd::Tier tier) {
   std::vector<float> out(kObjects);
   simd::ScopedTierForTest scoped(tier);
   for (auto _ : state) {
-    metric->DistanceBatch(data, 0, data, ids, out.data());
+    metric->DistanceBatch(data, 0, data, ids, out.data(), bound);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -142,10 +147,12 @@ int RegisterKernelBenches() {
   for (const auto& [name, id] : kEditSets) {
     const std::string base = std::string("gts-micro/edit-") + name;
     benchmark::RegisterBenchmark((base + "@scalar").c_str(), EditScore, id,
-                                 simd::Tier::kScalar);
+                                 simd::Tier::kScalar, kNoBound);
     benchmark::RegisterBenchmark((base + "@bitpar").c_str(), EditScore, id,
-                                 simd::BestTier());
+                                 simd::BestTier(), kNoBound);
   }
+  benchmark::RegisterBenchmark("gts-micro/edit-Words@bounded", EditScore,
+                               DatasetId::kWords, simd::BestTier(), 1.0f);
   return 0;
 }
 

@@ -21,7 +21,8 @@ namespace gts {
 
 /// Resources and budgets available to a method. CPU methods charge the
 /// host clock and observe `host_memory_bytes` (the scaled-down host RAM of
-/// DESIGN.md §2); GPU methods charge and allocate on `device`.
+/// docs/ARCHITECTURE.md, "Scale and calibration"); GPU methods charge and
+/// allocate on `device`.
 struct MethodContext {
   gpu::Device* device = nullptr;
   uint64_t host_memory_bytes = UINT64_MAX;

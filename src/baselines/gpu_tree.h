@@ -44,9 +44,10 @@ class GpuTree final : public SimilarityIndex {
   /// Each (query, tree) block reserves shard_size / kSlotDivisor fixed
   /// result slots, each holding a candidate object copy — G-PICS-style
   /// pessimistic block buffers with no memory-adaptive grouping. The
-  /// divisor is the calibrated scaled-down block size (DESIGN.md §2); the
-  /// object-copy term is what makes wide objects (Color) deadlock while
-  /// tiny ones (T-Loc) survive, as in Figs. 9 and 11.
+  /// divisor is the calibrated scaled-down block size (docs/ARCHITECTURE.md,
+  /// "Scale and calibration"); the object-copy term is what makes wide
+  /// objects (Color) deadlock while tiny ones (T-Loc) survive, as in
+  /// Figs. 9 and 11.
   static constexpr uint32_t kSlotDivisor = 64;
 
   struct Node {

@@ -129,9 +129,10 @@ float LbpgTree::MinDist(const Dataset& queries, uint32_t q,
       acc += static_cast<double>(gap) * gap;
     }
   }
-  return metric_->kind() == MetricKind::kL1
-             ? static_cast<float>(acc)
-             : static_cast<float>(std::sqrt(acc));
+  // Saturates as the metric does, or a box beyond FLT_MAX would bound its
+  // objects' saturated distances from above.
+  return kernels::detail::SaturatingNarrow(
+      metric_->kind() == MetricKind::kL1 ? acc : std::sqrt(acc));
 }
 
 Result<RangeResults> LbpgTree::RangeBatch(const Dataset& queries,

@@ -18,7 +18,8 @@ namespace gts::bench {
 namespace {
 // Paper testbed: 11 GB device, 128 GB host. The host base is reduced to
 // 1.2 GB-equivalent so the scaled budgets reproduce EGNAT's construction
-// OOM on T-Loc (Table 4) — calibration documented in DESIGN.md §2.
+// OOM on T-Loc (Table 4) — calibration documented in docs/ARCHITECTURE.md,
+// "Scale and calibration".
 constexpr double kDeviceBaseBytes = 11e9;
 constexpr double kHostBaseBytes = 1.2e9;
 }  // namespace

@@ -2,10 +2,11 @@
 // budgets, measurement helpers reading the simulated clocks, and row
 // printers producing the paper's tables/series.
 //
-// Budgets (DESIGN.md §2): every experiment models the paper's testbed — an
-// 11 GB RTX 2080 Ti and 128 GB host — scaled by the ratio between our
-// synthetic cardinality and the paper's dataset cardinality, so the OOM /
-// memory-deadlock episodes of Table 4 and Figs. 9/11 reproduce at scale.
+// Budgets (docs/ARCHITECTURE.md, "Scale and calibration"): every experiment
+// models the paper's testbed — an 11 GB RTX 2080 Ti and 128 GB host —
+// scaled by the ratio between our synthetic cardinality and the paper's
+// dataset cardinality, so the OOM / memory-deadlock episodes of Table 4 and
+// Figs. 9/11 reproduce at scale.
 // Set GTS_BENCH_SCALE (e.g. 2.0) to grow workloads and budgets together.
 #ifndef GTS_BENCH_HARNESS_H_
 #define GTS_BENCH_HARNESS_H_

@@ -555,9 +555,14 @@ class GtsIndex {
     /// ascending by node id.
     float root_dq = std::numeric_limits<float>::quiet_NaN();
     std::vector<uint32_t> probed_leaves;
+    /// Offer()'s own acceptance bound: the k-th distance once k objects
+    /// are held, +inf before. Offer() rejects every distance above it.
+    float OfferBound() const {
+      return topk.size() < k ? std::numeric_limits<float>::infinity()
+                             : topk.back().dist;
+    }
     float Bound() const {
-      const float own = topk.size() < k ? std::numeric_limits<float>::infinity()
-                                        : topk.back().dist;
+      const float own = OfferBound();
       return own < cap ? own : cap;
     }
     void Offer(uint32_t id, float dist);
@@ -674,20 +679,21 @@ class GtsIndex {
   /// starting at `pos` (slot s scores object tl_object[s], via the tree's
   /// SoA pack): one kernel call per node instead of one virtual call per
   /// object, with bitwise-identical distances and identical accounting.
+  /// `bound` as in DistanceMetric::DistanceBatch.
   void QuerySlotDistances(const Dataset& queries, uint32_t q, uint32_t pos,
-                          uint32_t count, QueryContext* ctx,
-                          float* out) const {
+                          uint32_t count, QueryContext* ctx, float* out,
+                          float bound = kNoBound) const {
     ctx->stats.distance_computations += count;
     metric_->DistanceBlock(queries, q, ctx->data(), ctx->v->tree->pack, pos,
-                           count, out);
+                           count, out, bound);
   }
   /// Batched QueryObjectDistance over explicit object ids (the gather
   /// path: cache tables, pruned candidate lists). Same equivalence.
   void QueryObjectDistances(const Dataset& queries, uint32_t q,
                             std::span<const uint32_t> ids, QueryContext* ctx,
-                            float* out) const {
+                            float* out, float bound = kNoBound) const {
     ctx->stats.distance_computations += ids.size();
-    metric_->DistanceBatch(queries, q, ctx->data(), ids, out);
+    metric_->DistanceBatch(queries, q, ctx->data(), ids, out, bound);
   }
 
   const DistanceMetric* metric_;

@@ -42,41 +42,60 @@ constexpr float kNoParent = std::numeric_limits<float>::quiet_NaN();
 // Hands out the keys of a span in ascending order, one per Next(), and
 // orders only as much of the span as it has handed out: an incremental
 // quicksort (Paredes and Navarro, "Optimal Incremental Sorting", ALENEX
-// 2006). Handing out the m smallest of n keys costs O(n + m log m)
-// expected. Ranges are partitioned around a median-of-three pivot; once
-// partitioning has moved 2 n log2 n keys, which only bad pivots or deep
-// recursion can cost, everything not yet handed out is sorted outright,
-// keeping the worst case at O(n log n).
+// 2006). A key is a candidate's gap bits above its table slot, and the
+// keys must arrive in ascending slot order. A range is partitioned three
+// ways on the gap alone, around the median of three gaps, and stably, so
+// every part stays in slot order: the keys that share the pivot's gap are
+// then in their final order at once. A gap shared by many keys (edit
+// distance's few small integers) thus settles in one pass, where a
+// partition on the whole key would sort it. Handing out the m smallest of
+// n keys costs O(n + m log m) expected. Once partitioning has moved
+// 2 n log2 n keys, which only bad pivots can cost, everything not yet
+// handed out is sorted outright, keeping the worst case at O(n log n).
 class AscendingKeys {
  public:
-  explicit AscendingKeys(std::span<uint64_t> keys)
-      : keys_(keys),
-        work_left_(2 * keys.size() *
-                   static_cast<size_t>(std::bit_width(keys.size()))) {
-    pivots_.push_back(keys.size());  // sentinel upper end
+  // Starts over on `keys`, keeping the scratch of earlier spans.
+  void Reset(std::span<uint64_t> keys) {
+    assert(std::is_sorted(keys.begin(), keys.end(),
+                          [](uint64_t a, uint64_t b) {
+                            return static_cast<uint32_t>(a) <
+                                   static_cast<uint32_t>(b);
+                          }));
+    keys_ = keys;
+    next_ = 0;
+    sorted_end_ = 0;
+    work_left_ = 2 * keys.size() *
+                 static_cast<size_t>(std::bit_width(keys.size()));
+    settled_.assign(1, {keys.size(), keys.size()});  // sentinel
+    if (equal_.size() < keys.size()) {
+      equal_.resize(keys.size());
+      above_.resize(keys.size());
+    }
   }
 
   // The smallest key not handed out yet. At most keys.size() calls.
   uint64_t Next() {
     while (next_ >= sorted_end_) {
-      // keys_[next_, hi) are unordered and below keys_[hi], if any.
-      const size_t hi = pivots_.back();
-      if (hi == next_) {  // keys_[next_] is a pivot, already in place
-        pivots_.pop_back();
-        break;
-      }
-      if (hi - next_ <= kSortBelow) {
-        std::sort(keys_.begin() + next_, keys_.begin() + hi);
+      // keys_[next_, lo) are unordered and below keys_[lo, hi), which are
+      // in final order.
+      const auto [lo, hi] = settled_.back();
+      if (lo == next_) {
+        settled_.pop_back();
         sorted_end_ = hi;
         break;
       }
-      if (hi - next_ > work_left_) {
+      if (lo - next_ <= kSortBelow) {
+        std::sort(keys_.begin() + next_, keys_.begin() + lo);
+        sorted_end_ = lo;
+        break;
+      }
+      if (lo - next_ > work_left_) {
         std::sort(keys_.begin() + next_, keys_.end());
         sorted_end_ = keys_.size();
         break;
       }
-      work_left_ -= hi - next_;
-      pivots_.push_back(Partition(next_, hi));
+      work_left_ -= lo - next_;
+      settled_.push_back(Partition(next_, lo));
     }
     return keys_[next_++];
   }
@@ -84,31 +103,43 @@ class AscendingKeys {
  private:
   static constexpr size_t kSortBelow = 16;
 
-  // Partitions keys_[lo, hi) around the median of its first, middle and
-  // last key and returns the pivot's final index.
-  size_t Partition(size_t lo, size_t hi) {
+  static uint32_t Gap(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
+
+  // Partitions keys_[lo, hi) stably into gaps below, equal to and above
+  // the median of its first, middle and last gap, and returns the
+  // [begin, end) of the equal part.
+  std::pair<size_t, size_t> Partition(size_t lo, size_t hi) {
     uint64_t* a = keys_.data();
-    const size_t mid = lo + (hi - lo) / 2;
-    if (a[mid] < a[lo]) std::swap(a[mid], a[lo]);
-    if (a[hi - 1] < a[lo]) std::swap(a[hi - 1], a[lo]);
-    if (a[mid] < a[hi - 1]) std::swap(a[mid], a[hi - 1]);
-    const uint64_t pivot = a[hi - 1];  // a[lo] <= pivot <= a[mid]
-    size_t store = lo;
-    for (size_t i = lo; i + 1 < hi; ++i) {  // branch-free Lomuto
+    const uint32_t x = Gap(a[lo]), y = Gap(a[lo + (hi - lo) / 2]);
+    const uint32_t pivot =
+        std::max(std::min(x, y), std::min(std::max(x, y), Gap(a[hi - 1])));
+    // Branch-free: every key is written to all three parts and kept by
+    // the one whose cursor advances. The part below is written in place,
+    // never ahead of the key being read.
+    size_t below = lo, equal = 0, above = 0;
+    for (size_t i = lo; i < hi; ++i) {
       const uint64_t v = a[i];
-      a[i] = a[store];
-      a[store] = v;
-      store += v < pivot;
+      const uint32_t g = Gap(v);
+      a[below] = v;
+      equal_[equal] = v;
+      above_[above] = v;
+      below += g < pivot;
+      equal += g == pivot;
+      above += g > pivot;
     }
-    std::swap(a[store], a[hi - 1]);
-    return store;
+    std::copy_n(equal_.begin(), equal, a + below);
+    std::copy_n(above_.begin(), above, a + below + equal);
+    return {below, below + equal};
   }
 
   std::span<uint64_t> keys_;
-  std::vector<size_t> pivots_;  // final pivot indices, innermost last
+  // The parts in final order, innermost last, as [begin, end); the parts
+  // between them are unordered.
+  std::vector<std::pair<size_t, size_t>> settled_;
+  std::vector<uint64_t> equal_, above_;  // Partition's scratch
   size_t next_ = 0;
   size_t sorted_end_ = 0;  // keys_[next_, sorted_end_) are in final order
-  size_t work_left_;
+  size_t work_left_ = 0;
 };
 }  // namespace
 
@@ -434,11 +465,22 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
   // A candidate is one 64-bit key, the gap's bits above the slot. Gaps are
   // non-negative, so their bit order is their value order; a NaN gap (from
   // a NaN object) orders after +inf instead of breaking the comparison.
+  // The keys are built in ascending slot order (the segment's leaves
+  // ascend by node id, and a node's children take consecutive table
+  // slots in child order), which AscendingKeys relies on.
+  //
+  // One QueryScorer per segment evaluates the verified candidates by
+  // table slot, its kernel setup made once per query. Its bound is
+  // Offer's own (OfferBound), not Bound(): a candidate above a caller's
+  // cap but below the k-th enters the list, and must carry its distance.
+  // Above OfferBound, Offer rejects whatever value the kernel returns.
   gpu::KernelDistanceScope scope(&ctx->clock, metric_,
                                  gpu::KernelDistanceScope::kAutoItems);
   std::vector<uint64_t> keys;  // reused across query segments
+  AscendingKeys order;         // likewise
   uint64_t scanned = 0;
   uint64_t candidates = 0;
+  uint64_t verified = 0;
   for (size_t begin = 0, end = 0; begin < frontier.size(); begin = end) {
     const uint32_t q = frontier[begin].query;
     assert(begin == 0 || frontier[begin - 1].query < q);  // one segment
@@ -483,15 +525,19 @@ void GtsIndex::VerifyKnnLeaves(std::span<const Entry> frontier,
                              static_cast<uint32_t>(ctx->candidate_fraction *
                                                    keys.size())));
     }
-    AscendingKeys order(keys);
+    DistanceMetric::QueryScorer scorer(*metric_, queries, q, ctx->data(),
+                                       ctx->v->tree->pack);
+    order.Reset(keys);
     for (; budget > 0; --budget) {
       const uint64_t key = order.Next();
       const float gap = std::bit_cast<float>(static_cast<uint32_t>(key >> 32));
       if (gap > state.Bound()) break;
-      const uint32_t id = tl_object[static_cast<uint32_t>(key)];
-      state.Offer(id, QueryObjectDistance(queries, q, id, ctx));
+      const uint32_t slot = static_cast<uint32_t>(key);
+      state.Offer(tl_object[slot], scorer.Score(slot, state.OfferBound()));
+      ++verified;
     }
   }
+  ctx->stats.distance_computations += verified;
   ctx->clock.ChargeKernel(scanned, scanned * 2);
   ctx->stats.objects_verified += scanned;
   ctx->clock.ChargeSort(candidates);

@@ -195,7 +195,8 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
   // coalesce into one gather call per query. Both paths produce
   // bitwise-identical distances with identical accounting, so the
   // verified set and every charge are those of a filter pass followed by
-  // one distance pass.
+  // one distance pass. Both are bounded by r: a miss may read any value
+  // above r, which the hit test rejects all the same.
   gpu::KernelDistanceScope scope(&ctx->clock, metric_,
                                  gpu::KernelDistanceScope::kAutoItems);
   std::vector<float> dist;
@@ -213,7 +214,7 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
         singles.push_back(tl_object[run_begin]);
       } else if (len > 1) {
         dist.resize(len);
-        QuerySlotDistances(queries, q, run_begin, len, ctx, dist.data());
+        QuerySlotDistances(queries, q, run_begin, len, ctx, dist.data(), r);
         for (uint32_t t = 0; t < len; ++t) {
           if (dist[t] <= r) hits.push_back(tl_object[run_begin + t]);
         }
@@ -236,7 +237,7 @@ void GtsIndex::VerifyRangeLeaves(std::span<const Entry> frontier,
     close_run();
     if (!singles.empty()) {
       dist.resize(singles.size());
-      QueryObjectDistances(queries, q, singles, ctx, dist.data());
+      QueryObjectDistances(queries, q, singles, ctx, dist.data(), r);
       for (size_t g = 0; g < singles.size(); ++g) {
         if (dist[g] <= r) hits.push_back(singles[g]);
       }

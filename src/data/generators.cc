@@ -11,9 +11,10 @@ namespace gts {
 
 namespace {
 
-// Scaled defaults (DESIGN.md §2). DNA reads are shortened from 108 to 64
-// characters to keep the O(len²) edit-distance benchmarks tractable on one
-// core; the clustered mutation structure is preserved.
+// Scaled defaults (docs/ARCHITECTURE.md, "Scale and calibration"). DNA
+// reads are shortened from 108 to 64 characters to keep the O(len²)
+// edit-distance benchmarks tractable on one core; the clustered mutation
+// structure is preserved.
 constexpr DatasetSpec kSpecs[] = {
     {DatasetId::kWords, "Words", MetricKind::kEdit, 8000, 8000, 611756, 34},
     {DatasetId::kTLoc, "T-Loc", MetricKind::kL2, 20000, 20000, 10000000, 2},

@@ -1,7 +1,8 @@
 // Seeded synthetic generators reproducing the *statistical* structure of the
-// paper's five real datasets (Table 2) at laptop scale — see DESIGN.md §2
-// for the substitution rationale. Cardinalities are scaled; metric type,
-// dimensionality and cluster structure match the originals.
+// paper's five real datasets (Table 2) at laptop scale — see
+// docs/ARCHITECTURE.md, "Scale and calibration", for the substitution
+// rationale. Cardinalities are scaled; metric type, dimensionality and
+// cluster structure match the originals.
 #ifndef GTS_DATA_GENERATORS_H_
 #define GTS_DATA_GENERATORS_H_
 

@@ -21,11 +21,11 @@
 
 namespace gts::gpu {
 
-/// Calibration constants (documented in DESIGN.md §2). The CPU:GPU per-lane
-/// speed ratio models "one fast SIMD core vs thousands of slow lanes":
-/// 0.05 ns/op ≈ 20 Gop/s for a vectorized single core, so the full-device
-/// gap is 4096 lanes / (1.2/0.05) ≈ 170x — the paper's "up to two orders of
-/// magnitude" band.
+/// Calibration constants (documented in docs/ARCHITECTURE.md, "Scale and
+/// calibration"). The CPU:GPU per-lane speed ratio models "one fast SIMD
+/// core vs thousands of slow lanes": 0.05 ns/op ≈ 20 Gop/s for a vectorized
+/// single core, so the full-device gap is 4096 lanes / (1.2/0.05) ≈ 170x —
+/// the paper's "up to two orders of magnitude" band.
 inline constexpr double kGpuNsPerOp = 1.2;
 inline constexpr double kCpuNsPerOp = 0.05;
 inline constexpr double kGpuLaunchOverheadNs = 3000.0;

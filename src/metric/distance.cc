@@ -38,7 +38,7 @@ class L1Metric final : public DistanceMetric {
     double sum = 0.0;
     for (size_t d = 0; d < va.size(); ++d) sum += std::fabs(va[d] - vb[d]);
     AddOps(va.size());
-    return static_cast<float>(sum);
+    return kernels::detail::SaturatingNarrow(sum);
   }
 };
 
@@ -61,7 +61,8 @@ class L2Metric final : public DistanceMetric {
       sum += diff * diff;
     }
     AddOps(va.size());
-    return static_cast<float>(std::sqrt(kernels::detail::ClearSign(sum)));
+    return kernels::detail::SaturatingNarrow(
+        std::sqrt(kernels::detail::ClearSign(sum)));
   }
 };
 
@@ -126,8 +127,8 @@ class EditMetric final : public DistanceMetric {
 
 void DistanceMetric::DistanceBatch(const Dataset& qd, uint32_t qi,
                                    const Dataset& objects,
-                                   std::span<const uint32_t> ids,
-                                   float* out) const {
+                                   std::span<const uint32_t> ids, float* out,
+                                   float bound) const {
   if (ids.empty()) return;
   if (!UsesBlockKernels()) {
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -156,18 +157,19 @@ void DistanceMetric::DistanceBatch(const Dataset& qd, uint32_t qi,
     }
   }
   AddOps(ops);
-  kernels::ScoreIds(k, simd::ActiveTier(), qd, qi, objects, ids, out);
+  kernels::ScoreIds(k, simd::ActiveTier(), qd, qi, objects, ids, out, bound);
 }
 
 void DistanceMetric::DistanceBlock(const Dataset& qd, uint32_t qi,
                                    const Dataset& objects, const SoaPack& pack,
                                    uint32_t pos, uint32_t count,
-                                   float* out) const {
+                                   float* out, float bound) const {
   if (count == 0) return;
   if (pack.kind() != DataKind::kFloatVector || !UsesBlockKernels()) {
     // Strings have no lane-packed payload, and custom metrics must run
     // their own DistanceImpl; score by id from the pack order.
-    DistanceBatch(qd, qi, objects, pack.order().subspan(pos, count), out);
+    DistanceBatch(qd, qi, objects, pack.order().subspan(pos, count), out,
+                  bound);
     return;
   }
   calls_.fetch_add(count, std::memory_order_relaxed);
@@ -178,6 +180,40 @@ void DistanceMetric::DistanceBlock(const Dataset& qd, uint32_t qi,
   AddOps(count * (per_obj + kDistanceCallOps));
   kernels::ScoreBlockFloat(k, simd::ActiveTier(), qd.Vector(qi).data(), pack,
                            pos, count, out);
+}
+
+DistanceMetric::QueryScorer::QueryScorer(const DistanceMetric& metric,
+                                         const Dataset& qd, uint32_t qi,
+                                         const Dataset& objects,
+                                         const SoaPack& pack)
+    : metric_(metric),
+      qd_(qd),
+      qi_(qi),
+      objects_(objects),
+      pack_(pack),
+      block_kernels_(metric.UsesBlockKernels()) {
+  if (!block_kernels_) return;
+  const MetricKind k = metric.kind();
+  if (k == MetricKind::kEdit) {
+    const std::string_view query = qd.String(qi);
+    qlen_ = query.size();
+    edit_.emplace(simd::ActiveTier(), query);
+    return;
+  }
+  assert(pack.kind() == DataKind::kFloatVector);
+  // Lane 0 of the scalar kernel, started `lane` floats into the slot's
+  // block, reads exactly that lane: count 1 never touches another lane.
+  lane_ = kernels::FloatBlockKernel(k, simd::Tier::kScalar);
+  q_ = qd.Vector(qi).data();
+  float_ops_ = (k == MetricKind::kAngularCosine ? 3ull : 1ull) * pack.dim() +
+               kDistanceCallOps;
+}
+
+DistanceMetric::QueryScorer::~QueryScorer() {
+  if (calls_ == 0) return;
+  metric_.calls_.fetch_add(calls_, std::memory_order_relaxed);
+  tls_calls_ += calls_;
+  metric_.AddOps(ops_);
 }
 
 std::unique_ptr<DistanceMetric> MakeMetric(MetricKind kind) {

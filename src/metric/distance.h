@@ -8,14 +8,15 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 
 #include "metric/dataset.h"
+#include "metric/kernels.h"
+#include "metric/soa.h"
 
 namespace gts {
-
-class SoaPack;
 
 enum class MetricKind {
   kL1,             ///< Manhattan distance (Color)
@@ -73,16 +74,70 @@ class DistanceMetric {
   /// writing ids.size() distances to `out`. Bitwise-identical to calling
   /// Distance(qd, qi, objects, id) per id — including the work counters
   /// (ids.size() calls, the same per-object ops) — but runs the dispatched
-  /// block kernels (metric/kernels.h), vectorizing across objects.
+  /// block kernels (metric/kernels.h), vectorizing across objects. With a
+  /// finite `bound`, a pair whose distance exceeds it may get any value
+  /// above the bound instead (the kernels' bound contract); it is still
+  /// charged as one full evaluation.
   void DistanceBatch(const Dataset& qd, uint32_t qi, const Dataset& objects,
-                     std::span<const uint32_t> ids, float* out) const;
+                     std::span<const uint32_t> ids, float* out,
+                     float bound = kNoBound) const;
 
   /// Same contract over `count` consecutive slots of a SoaPack starting at
   /// `pos` — the leaf fast path: contiguous lane-major loads instead of a
   /// per-object gather. Slot s scores object pack.order()[s] of `objects`.
   void DistanceBlock(const Dataset& qd, uint32_t qi, const Dataset& objects,
                      const SoaPack& pack, uint32_t pos, uint32_t count,
-                     float* out) const;
+                     float* out, float bound = kNoBound) const;
+
+  /// One query scored against single slots of a SoaPack (slot s is object
+  /// pack.order()[s] of `objects`), its kernel setup made once: an edit
+  /// query's EditQuery (so at most one scorer of an edit metric may be
+  /// live per thread), or a float query and its kind's scalar lane kernel,
+  /// read at the slot's lane of the pack — bitwise the per-object metric.
+  /// Score() returns what Distance() returns, bounded like DistanceBatch,
+  /// and charges what it charges. The counters are added once, when the
+  /// scorer is destroyed, so a work scope reading ThreadStats() must close
+  /// after it. Metrics without block kernels call Distance() per slot.
+  class QueryScorer {
+   public:
+    QueryScorer(const DistanceMetric& metric, const Dataset& qd, uint32_t qi,
+                const Dataset& objects, const SoaPack& pack);
+    ~QueryScorer();
+    QueryScorer(const QueryScorer&) = delete;
+    QueryScorer& operator=(const QueryScorer&) = delete;
+
+    float Score(uint32_t slot, float bound = kNoBound) {
+      if (!block_kernels_) {
+        return metric_.Distance(qd_, qi_, objects_, pack_.order()[slot]);
+      }
+      ++calls_;
+      if (edit_) {
+        const std::string_view text = objects_.String(pack_.order()[slot]);
+        ops_ += qlen_ * text.size() + kDistanceCallOps;
+        return static_cast<float>(edit_->Distance(text, bound));
+      }
+      ops_ += float_ops_;
+      float d;
+      lane_(q_, pack_.BlockPtr(slot / SoaPack::kLane) + slot % SoaPack::kLane,
+            pack_.dim(), 1, &d);
+      return d;
+    }
+
+   private:
+    const DistanceMetric& metric_;
+    const Dataset& qd_;
+    const uint32_t qi_;
+    const Dataset& objects_;
+    const SoaPack& pack_;
+    const bool block_kernels_;
+    std::optional<kernels::EditQuery> edit_;  // kEdit
+    kernels::FloatBlockFn lane_ = nullptr;    // the float kinds
+    const float* q_ = nullptr;
+    uint64_t qlen_ = 0;       // kEdit: the query's length
+    uint64_t float_ops_ = 0;  // the float kinds: one evaluation's ops
+    uint64_t calls_ = 0;
+    uint64_t ops_ = 0;
+  };
 
   virtual MetricKind kind() const = 0;
   std::string_view Name() const { return MetricKindName(kind()); }

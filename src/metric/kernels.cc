@@ -13,6 +13,8 @@
 #include <cstring>
 #include <vector>
 
+#include "metric/distance.h"
+
 #ifndef GTS_HAVE_KERNELS_AVX2
 #define GTS_HAVE_KERNELS_AVX2 0
 #endif
@@ -59,7 +61,7 @@ void L1Block_Scalar(const float* q, const float* block, uint32_t dim,
     for (uint32_t d = 0; d < dim; ++d) {
       sum += std::fabs(q[d] - block[d * SoaPack::kLane + l]);
     }
-    out[l] = static_cast<float>(sum);
+    out[l] = detail::SaturatingNarrow(sum);
   }
 }
 
@@ -71,7 +73,7 @@ void L2Block_Scalar(const float* q, const float* block, uint32_t dim,
       const double diff = q[d] - block[d * SoaPack::kLane + l];
       sum += diff * diff;
     }
-    out[l] = static_cast<float>(std::sqrt(detail::ClearSign(sum)));
+    out[l] = detail::SaturatingNarrow(std::sqrt(detail::ClearSign(sum)));
   }
 }
 
@@ -95,7 +97,7 @@ void L1Gather_Scalar(const float* q, const float* const* rows, uint32_t dim,
     const float* row = rows[l];
     double sum = 0.0;
     for (uint32_t d = 0; d < dim; ++d) sum += std::fabs(q[d] - row[d]);
-    out[l] = static_cast<float>(sum);
+    out[l] = detail::SaturatingNarrow(sum);
   }
 }
 
@@ -108,7 +110,7 @@ void L2Gather_Scalar(const float* q, const float* const* rows, uint32_t dim,
       const double diff = q[d] - row[d];
       sum += diff * diff;
     }
-    out[l] = static_cast<float>(std::sqrt(detail::ClearSign(sum)));
+    out[l] = detail::SaturatingNarrow(std::sqrt(detail::ClearSign(sum)));
   }
 }
 
@@ -283,67 +285,13 @@ int AdvanceMyersBlock(uint64_t* pv, uint64_t* mv, uint64_t eq, int hin,
 
 constexpr size_t kWordBits = 64;
 
-// Pattern-character masks for the single-word kernel. All-zero outside a
-// PatternMasks' lifetime, so a pattern costs O(m) to set and clear instead
-// of a 256-word wipe.
+// The single-word Myers pattern masks, owned by the live EditQuery with a
+// pattern. All-zero outside its lifetime, so a pattern costs O(m) to set
+// and clear instead of a 256-word wipe.
 thread_local uint64_t tls_peq[256];
 #ifndef NDEBUG
 thread_local bool tls_peq_live = false;
 #endif
-
-/// Single-word Myers (Hyyrö's formulation) for a pattern of at most 64
-/// bytes against texts of any length: one word step per text byte. Sets the
-/// pattern's entries of `tls_peq` on construction and clears exactly those
-/// on destruction; at most one may be live per thread.
-class PatternMasks {
- public:
-  explicit PatternMasks(std::string_view pattern)
-      : peq_(tls_peq), pattern_(pattern) {
-    assert(pattern.size() <= kWordBits);
-#ifndef NDEBUG
-    assert(!tls_peq_live && "nested PatternMasks would share tls_peq");
-    tls_peq_live = true;
-#endif
-    for (size_t i = 0; i < pattern.size(); ++i) {
-      peq_[static_cast<uint8_t>(pattern[i])] |= 1ull << i;
-    }
-  }
-  ~PatternMasks() {
-    for (const char c : pattern_) peq_[static_cast<uint8_t>(c)] = 0;
-#ifndef NDEBUG
-    tls_peq_live = false;
-#endif
-  }
-  PatternMasks(const PatternMasks&) = delete;
-  PatternMasks& operator=(const PatternMasks&) = delete;
-
-  uint32_t Distance(std::string_view text) const {
-    const size_t m = pattern_.size();
-    if (m == 0) return static_cast<uint32_t>(text.size());
-    const uint64_t top = 1ull << (m - 1);
-    uint64_t pv = ~0ull;
-    uint64_t mv = 0;
-    uint32_t score = static_cast<uint32_t>(m);
-    for (const char c : text) {
-      const uint64_t eq = peq_[static_cast<uint8_t>(c)];
-      const uint64_t xv = eq | mv;
-      const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-      const uint64_t ph = mv | ~(xh | pv);
-      const uint64_t mh = pv & xh;
-      // ph and mh are disjoint: the score moves by at most one.
-      score += static_cast<uint32_t>((ph & top) != 0);
-      score -= static_cast<uint32_t>((mh & top) != 0);
-      const uint64_t ph1 = (ph << 1) | 1;  // row 0 grows by one per byte
-      pv = (mh << 1) | ~(xv | ph1);
-      mv = ph1 & xv;
-    }
-    return score;
-  }
-
- private:
-  uint64_t* peq_;
-  std::string_view pattern_;
-};
 
 }  // namespace
 
@@ -381,73 +329,49 @@ uint32_t EditDistanceMyers(std::string_view a, std::string_view b) {
   return score;
 }
 
-uint32_t EditDistanceBanded(std::string_view a, std::string_view b,
-                            uint32_t bound) {
-  if (a.size() > b.size()) std::swap(a, b);  // a is the shorter
-  const size_t m = a.size(), n = b.size();
-  // D >= |len difference|: the band cannot contain the answer.
-  if (n - m > bound) return bound + 1;
-  if (m == 0) return static_cast<uint32_t>(n);
+EditQuery::EditQuery(simd::Tier tier, std::string_view query)
+    : query_(query), tier_(tier) {
+  if (tier == simd::Tier::kScalar || query.size() > kWordBits) return;
+#ifndef NDEBUG
+  assert(!tls_peq_live && "two live EditQuery patterns would share tls_peq");
+  tls_peq_live = true;
+#endif
+  for (size_t i = 0; i < query.size(); ++i) {
+    tls_peq[static_cast<uint8_t>(query[i])] |= 1ull << i;
+  }
+  peq_ = tls_peq;
+}
 
-  const uint32_t inf = bound + 1;  // saturating sentinel, never exceeded
-  static thread_local std::vector<uint32_t> row;
-  row.assign(m + 1, inf);
-  const size_t k = bound;
-  for (size_t x = 0; x <= std::min<size_t>(m, k); ++x) {
-    row[x] = static_cast<uint32_t>(x);
-  }
-  for (size_t y = 1; y <= n; ++y) {
-    // Cells with |x - y| > bound cannot be <= bound (D[x][y] >= |x - y|).
-    const size_t lo = y > k ? y - k : 1;
-    const size_t hi = std::min(m, y + k);
-    if (lo > hi) return inf;
-    uint32_t diag = (lo == 1) ? static_cast<uint32_t>(y - 1)
-                              : row[lo - 1];  // D[lo-1][y-1] before overwrite
-    uint32_t left = (lo == 1 && y <= k) ? static_cast<uint32_t>(y) : inf;
-    if (lo >= 2) row[lo - 2] = inf;  // cell leaving the band
-    row[lo - 1] = left;
-    for (size_t x = lo; x <= hi; ++x) {
-      const uint32_t sub = diag + (a[x - 1] != b[y - 1] ? 1 : 0);
-      diag = row[x];
-      uint32_t best = std::min({row[x] + 1, left + 1, sub});
-      if (best > inf) best = inf;
-      row[x] = best;
-      left = best;
-    }
-    if (hi < m) row[hi] = left;  // already stored; keep cells right of band
-    for (size_t x = hi + 1; x <= m; ++x) row[x] = inf;
-  }
-  return std::min(row[m], inf);
+EditQuery::~EditQuery() {
+  if (peq_ == nullptr) return;
+  for (const char c : query_) tls_peq[static_cast<uint8_t>(c)] = 0;
+#ifndef NDEBUG
+  tls_peq_live = false;
+#endif
+}
+
+uint32_t EditQuery::TextDistance(std::string_view text) const {
+  return tier_ == simd::Tier::kScalar ? EditDistanceDp(query_, text)
+                                      : EditDistanceMyers(query_, text);
 }
 
 uint32_t EditDistance(simd::Tier tier, std::string_view a,
                       std::string_view b) {
-  if (tier == simd::Tier::kScalar) return EditDistanceDp(a, b);
   if (a.size() > b.size()) std::swap(a, b);  // a (the pattern) is the shorter
-  if (a.size() > kWordBits) return EditDistanceMyers(a, b);
-  return PatternMasks(a).Distance(b);
+  return EditQuery(tier, a).Distance(b);
 }
 
 // --- Gather entry (float lanes and edit distance) ---------------------------
 
 void ScoreIds(MetricKind kind, simd::Tier tier, const Dataset& qd, uint32_t qi,
               const Dataset& objects, std::span<const uint32_t> ids,
-              float* out) {
+              float* out, float bound) {
   if (ids.empty()) return;
   if (kind == MetricKind::kEdit) {
-    const std::string_view query = qd.String(qi);
-    if (tier == simd::Tier::kScalar || query.size() > kWordBits) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        out[i] = static_cast<float>(
-            EditDistance(tier, query, objects.String(ids[i])));
-      }
-      return;
-    }
-    // Edit distance is symmetric, so a query of at most 64 bytes is the
-    // pattern for every object: its masks are set once for the whole call.
-    const PatternMasks masks(query);
+    const EditQuery query(tier, qd.String(qi));
     for (size_t i = 0; i < ids.size(); ++i) {
-      out[i] = static_cast<float>(masks.Distance(objects.String(ids[i])));
+      out[i] =
+          static_cast<float>(query.Distance(objects.String(ids[i]), bound));
     }
     return;
   }

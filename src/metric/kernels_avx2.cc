@@ -3,8 +3,10 @@
 // 32-bit float subtract, promote to double, multiply and add as SEPARATE
 // exactly-rounded operations (never fused: this file is compiled without
 // FMA and with contraction disabled, see CMakeLists.txt), dimensions in
-// strict order. The epilogue (sqrt / CosFinish) is the same scalar code
-// every tier runs. That is what makes the tier bitwise-equal to scalar.
+// strict order. The cosine epilogue (CosFinish) is the same scalar code
+// every tier runs; the L1 and L2 ones run 4 lanes at a time with the same
+// IEEE operations (exactly rounded sqrt and narrowing). That is what makes
+// the tier bitwise-equal to scalar.
 //
 // Built only when the compiler accepts -mavx2 (GTS_HAVE_KERNELS_AVX2);
 // the dispatcher only selects it when the CPU reports AVX2.
@@ -13,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "metric/kernels.h"
@@ -30,6 +33,24 @@ inline __m256d Abs(__m256d v) {
   const __m256d mask = _mm256_castsi256_pd(_mm256_set1_epi64x(
       static_cast<long long>(0x7fffffffffffffffULL)));
   return _mm256_and_pd(v, mask);
+}
+
+// detail::SaturatingNarrow on two 4-lane halves, storing the first
+// `count` lanes: min(FLT_MAX, x) is x itself when x is a NaN (vminpd
+// returns its second operand), and the packed conversion rounds and keeps
+// a NaN's payload as the scalar one does.
+inline void StoreNarrow(__m256d lo, __m256d hi, uint32_t count, float* out) {
+  const __m256d max = _mm256_set1_pd(std::numeric_limits<float>::max());
+  const __m256 narrow =
+      _mm256_set_m128(_mm256_cvtpd_ps(_mm256_min_pd(max, hi)),
+                      _mm256_cvtpd_ps(_mm256_min_pd(max, lo)));
+  if (count == kLane) {
+    _mm256_storeu_ps(out, narrow);
+    return;
+  }
+  float lanes[kLane];
+  _mm256_storeu_ps(lanes, narrow);
+  std::memcpy(out, lanes, count * sizeof(float));
 }
 
 // 8 object values for dimension d: block path loads them contiguously,
@@ -91,12 +112,7 @@ inline void L1Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     acc_lo = _mm256_add_pd(acc_lo, Abs(LowPd(diff)));
     acc_hi = _mm256_add_pd(acc_hi, Abs(HighPd(diff)));
   }
-  double sums[kLane];
-  _mm256_storeu_pd(sums, acc_lo);
-  _mm256_storeu_pd(sums + 4, acc_hi);
-  for (uint32_t l = 0; l < count; ++l) {
-    out[l] = static_cast<float>(sums[l]);
-  }
+  StoreNarrow(acc_lo, acc_hi, count, out);
 }
 
 template <typename LoadFn>
@@ -111,13 +127,10 @@ inline void L2Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(lo, lo));
     acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(hi, hi));
   }
-  // The scalar tier's detail::ClearSign before sqrt, 4 lanes at a time.
-  double sums[kLane];
-  _mm256_storeu_pd(sums, Abs(acc_lo));
-  _mm256_storeu_pd(sums + 4, Abs(acc_hi));
-  for (uint32_t l = 0; l < count; ++l) {
-    out[l] = static_cast<float>(std::sqrt(sums[l]));
-  }
+  // The scalar tier's detail::ClearSign and sqrt, 4 lanes at a time; IEEE
+  // sqrt is exactly rounded and keeps a NaN's payload, as std::sqrt does.
+  StoreNarrow(_mm256_sqrt_pd(Abs(acc_lo)), _mm256_sqrt_pd(Abs(acc_hi)), count,
+              out);
 }
 
 template <typename LoadFn>

@@ -2,7 +2,8 @@
 // per block (the full SoaPack::kLane), half the accumulator instructions of
 // the AVX2 tier. Same equivalence rules as kernels_avx2.cc — separate
 // exactly-rounded multiply and add (no FMA contraction; enforced by compile
-// flags), strict dimension order, shared scalar epilogue.
+// flags), strict dimension order, shared scalar epilogue (L1 and L2 run
+// theirs 8 lanes at a time, with the same IEEE operations).
 //
 // Built only when the compiler accepts -mavx512f -mavx512vl
 // (GTS_HAVE_KERNELS_AVX512); dispatched only when the CPU reports them.
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "metric/kernels.h"
@@ -27,6 +29,22 @@ inline __m512d Abs(__m512d v) {
   const __m512i mask =
       _mm512_set1_epi64(static_cast<long long>(0x7fffffffffffffffULL));
   return _mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(v), mask));
+}
+
+// The zero-masking forms below, under this full mask, are the plain
+// operations: GCC 12 warns that the plain forms' pass-through operand is
+// uninitialized.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+// detail::SaturatingNarrow on 8 lanes, storing the first `count`:
+// min(FLT_MAX, x) is x itself when x is a NaN (vminpd returns its second
+// operand), and the packed conversion rounds and keeps a NaN's payload as
+// the scalar one does.
+inline void StoreNarrow(__m512d v, uint32_t count, float* out) {
+  const __m512d max = _mm512_set1_pd(std::numeric_limits<float>::max());
+  _mm256_mask_storeu_ps(
+      out, static_cast<__mmask8>((1u << count) - 1),
+      _mm512_maskz_cvtpd_ps(kAllLanes, _mm512_maskz_min_pd(kAllLanes, max, v)));
 }
 
 inline __m256 LoadBlock(const float* block, uint32_t d) {
@@ -76,11 +94,7 @@ inline void L1Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     const __m256 diff = _mm256_sub_ps(_mm256_set1_ps(q[d]), load(d));
     acc = _mm512_add_pd(acc, Abs(_mm512_cvtps_pd(diff)));
   }
-  double sums[kLane];
-  _mm512_storeu_pd(sums, acc);
-  for (uint32_t l = 0; l < count; ++l) {
-    out[l] = static_cast<float>(sums[l]);
-  }
+  StoreNarrow(acc, count, out);
 }
 
 template <typename LoadFn>
@@ -92,12 +106,9 @@ inline void L2Body(const float* q, LoadFn load, uint32_t dim, uint32_t count,
     const __m512d dd = _mm512_cvtps_pd(diff);
     acc = _mm512_add_pd(acc, _mm512_mul_pd(dd, dd));
   }
-  // The scalar tier's detail::ClearSign before sqrt, 8 lanes at a time.
-  double sums[kLane];
-  _mm512_storeu_pd(sums, Abs(acc));
-  for (uint32_t l = 0; l < count; ++l) {
-    out[l] = static_cast<float>(std::sqrt(sums[l]));
-  }
+  // The scalar tier's detail::ClearSign and sqrt, 8 lanes at a time; IEEE
+  // sqrt is exactly rounded and keeps a NaN's payload, as std::sqrt does.
+  StoreNarrow(_mm512_maskz_sqrt_pd(kAllLanes, Abs(acc)), count, out);
 }
 
 template <typename LoadFn>

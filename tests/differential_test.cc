@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "baselines/baseline.h"
 #include "baselines/brute_force.h"
@@ -135,6 +138,72 @@ TEST_P(DifferentialTest, GtsStaysExactUnderRandomUpdates) {
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// Finite coordinates whose L1 or L2 distance exceeds FLT_MAX. The metrics
+// saturate at FLT_MAX; a distance of +inf would make the ring tests' lower
+// bound |d(q,p) - d(o,p)| infinite and prune objects that are in range.
+// Every exact method must match brute force at a radius inside the float
+// range and at FLT_MAX itself, where LBPG-Tree's box bound has to saturate
+// as the metric does.
+TEST(OverflowShapeTest, ExactMethodsMatchBruteForceBeyondFloatRange) {
+  Rng rng(2024);
+  Dataset data = Dataset::FloatVectors(2);
+  for (int i = 0; i < 2000; ++i) {
+    const float x = static_cast<float>((rng.UniformDouble() * 2 - 1) * 3e38);
+    const float y = static_cast<float>((rng.UniformDouble() * 2 - 1) * 3e38);
+    data.AppendVector(std::vector<float>{x, y});
+  }
+  const Dataset queries = SampleQueries(data, 20, rng.NextU64());
+  struct Config {
+    MethodId method;
+    uint32_t nc;  // GTS node capacity
+  };
+  constexpr Config kConfigs[] = {
+      {MethodId::kGts, 2},       {MethodId::kGts, 4},
+      {MethodId::kGts, 10},      {MethodId::kGts, 40},
+      {MethodId::kBst, 10},      {MethodId::kMvpt, 10},
+      {MethodId::kEgnat, 10},    {MethodId::kGpuTable, 10},
+      {MethodId::kGpuTree, 10},  {MethodId::kLbpgTree, 10},
+  };
+  for (const MetricKind kind : {MetricKind::kL1, MetricKind::kL2}) {
+    auto metric = MakeMetric(kind);
+    gpu::Device device;
+    MethodContext ctx{&device, UINT64_MAX, 5};
+    BruteForce ref(ctx);
+    ASSERT_TRUE(ref.Build(&data, metric.get()).ok());
+    auto truth_k = ref.KnnBatch(queries, 10);
+    ASSERT_TRUE(truth_k.ok());
+    for (const Config cfg : kConfigs) {
+      ctx.gts_node_capacity = cfg.nc;
+      auto method = MakeMethod(cfg.method, ctx);
+      SCOPED_TRACE(std::string(MetricKindName(kind)) + " " +
+                   std::string(method->Name()) +
+                   " nc=" + std::to_string(cfg.nc));
+      ASSERT_TRUE(method->Build(&data, metric.get()).ok());
+      for (const float r : {1e38f, std::numeric_limits<float>::max()}) {
+        const std::vector<float> radii(queries.size(), r);
+        auto truth_r = ref.RangeBatch(queries, radii);
+        auto got_r = method->RangeBatch(queries, radii);
+        ASSERT_TRUE(truth_r.ok() && got_r.ok());
+        for (uint32_t q = 0; q < queries.size(); ++q) {
+          std::vector<uint32_t> sorted = got_r.value()[q];
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(sorted, truth_r.value()[q])
+              << "MRQ r=" << r << " query " << q;
+        }
+      }
+      auto got_k = method->KnnBatch(queries, 10);
+      ASSERT_TRUE(got_k.ok());
+      for (uint32_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(got_k.value()[q].size(), truth_k.value()[q].size());
+        for (size_t i = 0; i < got_k.value()[q].size(); ++i) {
+          EXPECT_EQ(got_k.value()[q][i].dist, truth_k.value()[q][i].dist)
+              << "kNN query " << q << " rank " << i;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace gts

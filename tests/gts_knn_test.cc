@@ -291,5 +291,51 @@ TEST_F(GtsKnnEdgeTest, MixedInitialBoundsMatchUnbounded) {
   }
 }
 
+// Caps below each query's own k-th, as the sharded scatter hands a shard:
+// the capped descent prunes harder, but every neighbor it returns must
+// carry its true distance (leaf verification bounds its kernel by Offer's
+// own bound, never by the cap), and the neighbors within the cap are the
+// unbounded query's. Edit distance on Words, where the bounded kernel's
+// length exit returns a value that is not the distance.
+TEST(GtsKnnCapTest, CapsBelowKthReportTrueDistances) {
+  constexpr uint32_t kK = 8;
+  Dataset data = GenerateDataset(DatasetId::kWords, 3000, 7);
+  auto metric = MakeDatasetMetric(DatasetId::kWords);
+  gpu::Device device;
+  GtsOptions options;
+  options.node_capacity = 10;
+  auto built =
+      GtsIndex::Build(std::move(data), metric.get(), &device, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const GtsIndex& idx = *built.value();
+  const Dataset queries = SampleQueries(idx.data(), 48, 11);
+  auto unbounded = idx.KnnQueryBatch(queries, kK);
+  ASSERT_TRUE(unbounded.ok());
+  std::vector<float> caps;
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(unbounded.value()[q].size(), kK);
+    const float kth = unbounded.value()[q].back().dist;
+    caps.push_back(std::max(0.0f, kth - 1.0f - static_cast<float>(q % 3)));
+  }
+  auto capped = idx.KnnQueryBatch(queries, kK, nullptr,
+                                  KnnOptions{.initial_bounds = caps});
+  ASSERT_TRUE(capped.ok());
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    for (const Neighbor& nb : capped.value()[q]) {
+      EXPECT_EQ(nb.dist, metric->Distance(queries, q, idx.data(), nb.id))
+          << "query " << q << " id " << nb.id << " cap " << caps[q];
+    }
+    const auto within = [&](const std::vector<Neighbor>& list) {
+      std::vector<Neighbor> out;
+      for (const Neighbor& nb : list) {
+        if (nb.dist <= caps[q]) out.push_back(nb);
+      }
+      return out;
+    };
+    ExpectSameNeighbors(within(capped.value()[q]),
+                        within(unbounded.value()[q]), q);
+  }
+}
+
 }  // namespace
 }  // namespace gts

@@ -6,6 +6,7 @@
 // identical work counters under every tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -104,6 +105,16 @@ TEST_P(FloatKernelTest, BlockAndGatherMatchScalarBitwise) {
         EXPECT_TRUE(BitEqual(got[i], want[i]))
             << simd::TierName(tier) << " gather dim=" << dim << " i=" << i;
       }
+      // The per-query scorer reads one lane of a permuted pack, whatever
+      // the tier; a float kind ignores the bound.
+      simd::ScopedTierForTest scoped(tier);
+      std::vector<uint32_t> shuffled(order.rbegin(), order.rend());
+      const SoaPack permuted = SoaPack::Pack(data, shuffled);
+      DistanceMetric::QueryScorer scorer(*metric, data, qi, data, permuted);
+      for (uint32_t s = 0; s < n; ++s) {
+        EXPECT_TRUE(BitEqual(scorer.Score(s, 0.0f), want[shuffled[s]]))
+            << simd::TierName(tier) << " scorer dim=" << dim << " slot=" << s;
+      }
     }
   }
 }
@@ -140,13 +151,23 @@ TEST_P(FloatKernelTest, SpecialValuesMatchBitwise) {
                                got.data());
       std::vector<float> gathered(rows.size(), -1.0f);
       kernels::ScoreIds(kind, tier, data, qi, data, order, gathered.data());
+      simd::ScopedTierForTest scoped(tier);
+      DistanceMetric::QueryScorer scorer(*metric, data, qi, data, pack);
       for (uint32_t i = 0; i < rows.size(); ++i) {
         EXPECT_TRUE(BitEqual(got[i], want[i]))
             << simd::TierName(tier) << " block q=" << qi << " i=" << i;
         EXPECT_TRUE(BitEqual(gathered[i], want[i]))
             << simd::TierName(tier) << " gather q=" << qi << " i=" << i;
+        EXPECT_TRUE(BitEqual(scorer.Score(i), want[i]))
+            << simd::TierName(tier) << " scorer q=" << qi << " i=" << i;
       }
     }
+  }
+  // Rows 4 and 8 are finite but farther apart than FLT_MAX: L1 and L2
+  // saturate there instead of reading +inf.
+  if (kind != MetricKind::kAngularCosine) {
+    EXPECT_EQ(metric->Distance(data, 4, data, 8),
+              std::numeric_limits<float>::max());
   }
 }
 
@@ -224,21 +245,95 @@ TEST(EditKernelTest, MyersIdentityAndKnownValues) {
   EXPECT_EQ(kernels::EditDistanceMyers(long_a, long_a + "xyz"), 3u);
 }
 
-TEST(EditKernelTest, BandedExactWithinBoundAndCappedAbove) {
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<size_t> len_dist(0, 120);
-  for (int iter = 0; iter < 400; ++iter) {
-    const std::string a = RandomString(rng, len_dist(rng), 4);
-    const std::string b = RandomString(rng, len_dist(rng), 4);
-    const uint32_t d = kernels::EditDistanceDp(a, b);
-    for (const uint32_t bound :
-         {d, d + 1, d + 10, d > 0 ? d - 1 : 0u, d / 2, 0u}) {
-      const uint32_t got = kernels::EditDistanceBanded(a, b, bound);
-      if (bound >= d) {
-        ASSERT_EQ(got, d) << "a=" << a << " b=" << b << " bound=" << bound;
-      } else {
-        ASSERT_GT(got, bound) << "a=" << a << " b=" << b
-                              << " bound=" << bound << " d=" << d;
+// The bound contract of the edit entry points, on every tier through the
+// dispatched metric: a pair at most `bound` from the query reads its exact
+// distance, any other pair a value above the bound, and kNoBound is the
+// unbounded call. Strings of 0-130 bytes put queries and texts on both
+// sides of the 64-byte pattern word; bounds straddle each pair's length
+// difference (the kernel's first exit) and its distance.
+TEST(EditKernelTest, BoundedMatchesDpFuzz) {
+  std::mt19937_64 rng(37);
+  std::uniform_int_distribution<size_t> len_dist(0, 130);
+  std::uniform_real_distribution<float> bound_dist(0.0f, 140.0f);
+  const auto expect_bounded = [](float got, uint32_t want, float bound) {
+    if (static_cast<float>(want) <= bound) {
+      return got == static_cast<float>(want);
+    }
+    return got > bound;
+  };
+  for (const Alphabet alpha : kFuzzAlphabets) {
+    Dataset queries = Dataset::Strings();
+    for (const size_t len : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                             len_dist(rng), len_dist(rng)}) {
+      queries.AppendString(RandomString(rng, len, alpha.size, alpha.first));
+    }
+    Dataset objects = Dataset::Strings();
+    for (int i = 0; i < 60; ++i) {
+      objects.AppendString(
+          RandomString(rng, len_dist(rng), alpha.size, alpha.first));
+    }
+    std::vector<uint32_t> ids(objects.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::shuffle(ids.begin(), ids.end(), rng);
+    const SoaPack pack = SoaPack::Pack(objects, ids);
+    const auto metric = MakeMetric(MetricKind::kEdit);
+    for (const simd::Tier tier : CompiledRunnableTiers()) {
+      simd::ScopedTierForTest scoped(tier);
+      for (uint32_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string_view query = queries.String(qi);
+        std::vector<uint32_t> want(ids.size());
+        for (size_t s = 0; s < ids.size(); ++s) {
+          want[s] = kernels::EditDistanceDp(query, objects.String(ids[s]));
+        }
+        // One bound for a whole batch, through both batch entry points.
+        std::vector<float> got(ids.size());
+        for (const float bound : {0.0f, 1.0f, bound_dist(rng),
+                                  std::floor(bound_dist(rng)), kNoBound}) {
+          metric->DistanceBatch(queries, qi, objects, ids, got.data(), bound);
+          for (size_t s = 0; s < ids.size(); ++s) {
+            ASSERT_TRUE(expect_bounded(got[s], want[s], bound))
+                << simd::TierName(tier) << " batch qlen=" << query.size()
+                << " olen=" << objects.String(ids[s]).size()
+                << " bound=" << bound << " got=" << got[s]
+                << " want=" << want[s];
+          }
+          metric->DistanceBlock(queries, qi, objects, pack, 0, pack.size(),
+                                got.data(), bound);
+          for (size_t s = 0; s < ids.size(); ++s) {
+            ASSERT_TRUE(expect_bounded(got[s], want[s], bound))
+                << simd::TierName(tier) << " block slot=" << s
+                << " bound=" << bound;
+          }
+        }
+        // Bounds around each pair's own length difference and distance,
+        // through the per-query scorer. Its EditQuery owns the thread's
+        // mask table while it lives, so the per-object reference is taken
+        // first.
+        std::vector<float> exact(ids.size());
+        for (size_t s = 0; s < ids.size(); ++s) {
+          exact[s] = metric->Distance(queries, qi, objects, ids[s]);
+        }
+        DistanceMetric::QueryScorer scorer(*metric, queries, qi, objects,
+                                           pack);
+        for (uint32_t s = 0; s < ids.size(); ++s) {
+          const size_t olen = objects.String(ids[s]).size();
+          const float len_gap = static_cast<float>(
+              query.size() > olen ? query.size() - olen : olen - query.size());
+          const float d = static_cast<float>(want[s]);
+          for (const float bound :
+               {len_gap - 1.0f, len_gap, len_gap + 1.0f, d - 1.0f, d,
+                d + 0.5f, kNoBound}) {
+            if (bound < 0.0f) continue;
+            const float score = scorer.Score(s, bound);
+            ASSERT_TRUE(expect_bounded(score, want[s], bound))
+                << simd::TierName(tier) << " scorer qlen=" << query.size()
+                << " olen=" << olen << " bound=" << bound
+                << " got=" << score << " want=" << want[s];
+          }
+          // Unbounded, the scorer is bitwise the per-object metric.
+          ASSERT_TRUE(BitEqual(scorer.Score(s), exact[s]))
+              << simd::TierName(tier) << " slot=" << s;
+        }
       }
     }
   }
@@ -369,9 +464,21 @@ TEST(DistanceBatchTest, CountersMatchPerObjectCalls) {
       EXPECT_TRUE(BitEqual(batched[i], per[i])) << static_cast<int>(id);
     }
 
+    // The per-query scorer adds the same counters, once, when it ends.
+    auto d = MakeDatasetMetric(id);
+    const SoaPack pack = SoaPack::Pack(data, ids);
+    {
+      DistanceMetric::QueryScorer scorer(*d, data, 0, data, pack);
+      for (uint32_t s = 0; s < ids.size(); ++s) {
+        EXPECT_TRUE(BitEqual(scorer.Score(s), per[s])) << static_cast<int>(id);
+      }
+      EXPECT_EQ(d->stats().calls, 0u) << static_cast<int>(id);
+    }
+    EXPECT_EQ(a->stats().calls, d->stats().calls) << static_cast<int>(id);
+    EXPECT_EQ(a->stats().ops, d->stats().ops) << static_cast<int>(id);
+
     if (data.kind() == DataKind::kFloatVector) {
       auto c = MakeDatasetMetric(id);
-      const SoaPack pack = SoaPack::Pack(data, ids);
       std::vector<float> blocked(ids.size());
       c->DistanceBlock(data, 0, data, pack, 0,
                        static_cast<uint32_t>(ids.size()), blocked.data());
